@@ -49,9 +49,10 @@ func BenchmarkSameContextBatch(b *testing.B) {
 }
 
 // BenchmarkRunQueueContended: sixteen contexts with staggered event costs
-// keep the run queue full and force a swap-and-rescan on most scheduling
-// points, exercising qpush/popMin/rescanMin at realistic occupancy (the
-// full catalog runs 4-16 threads). One op is one event.
+// keep the run queue full and make most scheduling points a handoff, each
+// one leaf replacement plus a root walk in the tournament tree
+// (replaceTop), at realistic occupancy (the full catalog runs 4-16
+// threads). One op is one event.
 func BenchmarkRunQueueContended(b *testing.B) {
 	const threads = 16
 	m := New(benchConfig(8, 2))
@@ -109,9 +110,9 @@ func benchScaleConfig(n int) Config {
 // contexts at staggered event costs, so nearly every scheduling point is a
 // real handoff through the run queue. N=8 is the paper machine, N=64 a
 // NUMA scale-out, N=512 the scheduler's stress ceiling; together they show
-// how per-event cost grows with occupancy (O(log N) on the 4-ary heap,
-// where the flat rescan it replaced was O(N) — see the SchedHeap /
-// SchedFlatRescan pair for the isolated data-structure comparison).
+// how per-event cost grows with occupancy (O(log N) on the tournament tree,
+// where the flat rescan was O(N) — see the SchedTree / SchedFlatRescan pair
+// for the isolated data-structure comparison).
 func benchRunQueueN(b *testing.B, n int) {
 	m := New(benchScaleConfig(n))
 	per := b.N/n + 1
@@ -129,18 +130,16 @@ func BenchmarkRunQueueN8(b *testing.B)   { benchRunQueueN(b, 8) }
 func BenchmarkRunQueueN64(b *testing.B)  { benchRunQueueN(b, 64) }
 func BenchmarkRunQueueN512(b *testing.B) { benchRunQueueN(b, 512) }
 
-// The SchedHeap/SchedFlatRescan pair isolates the run-queue data structure
+// The SchedTree/SchedFlatRescan pair isolates the run-queue data structure
 // from coroutine switching: one op is one handoff's queue work — take the
-// minimum-key context, advance its key, reinsert. SchedHeap drives the
-// machine's real qpush/popMin; SchedFlatRescan replays the pre-heap
-// scheduler's algorithm (scan every runnable entry for the minimum).
+// minimum-key context, advance its key, reinsert. SchedTree builds the
+// machine's real tree through attach and drives popMin/qpush; no carriers
+// are started. SchedFlatRescan replays the original scheduler's algorithm
+// (scan every runnable entry for the minimum).
 // scripts/bench_ratchet.sh gates on the N=512 pair staying >=5x apart.
-func benchSchedHeap(b *testing.B, n int) {
-	m := New(benchConfig(1, 1))
-	for i := 0; i < n; i++ {
-		c := &Context{m: m, id: i, key: uint64(i)}
-		m.qpush(c)
-	}
+func benchSchedTree(b *testing.B, n int) {
+	m := New(benchScaleConfig(n))
+	m.attach(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -151,10 +150,14 @@ func benchSchedHeap(b *testing.B, n int) {
 }
 
 func benchSchedFlatRescan(b *testing.B, n int) {
+	type ent struct {
+		key uint64
+		ctx *Context
+	}
 	m := New(benchConfig(1, 1))
-	q := make([]runqEnt, n)
+	q := make([]ent, n)
 	for i := range q {
-		q[i] = runqEnt{key: uint64(i), ctx: &Context{m: m, id: i}}
+		q[i] = ent{key: uint64(i), ctx: &Context{m: m, id: i}}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -171,9 +174,9 @@ func benchSchedFlatRescan(b *testing.B, n int) {
 	}
 }
 
-func BenchmarkSchedHeapN8(b *testing.B)         { benchSchedHeap(b, 8) }
-func BenchmarkSchedHeapN64(b *testing.B)        { benchSchedHeap(b, 64) }
-func BenchmarkSchedHeapN512(b *testing.B)       { benchSchedHeap(b, 512) }
+func BenchmarkSchedTreeN8(b *testing.B)         { benchSchedTree(b, 8) }
+func BenchmarkSchedTreeN64(b *testing.B)        { benchSchedTree(b, 64) }
+func BenchmarkSchedTreeN512(b *testing.B)       { benchSchedTree(b, 512) }
 func BenchmarkSchedFlatRescanN8(b *testing.B)   { benchSchedFlatRescan(b, 8) }
 func BenchmarkSchedFlatRescanN64(b *testing.B)  { benchSchedFlatRescan(b, 64) }
 func BenchmarkSchedFlatRescanN512(b *testing.B) { benchSchedFlatRescan(b, 512) }

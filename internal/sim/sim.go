@@ -219,15 +219,19 @@ type Machine struct {
 	nSockets int
 	ctxs     []*Context
 	ctxSlab  []*Context // Context records recycled across Run calls (slab)
-	// runq holds the runnable (not running) contexts as compact value
-	// entries (the scheduling key snapshot plus the context pointer),
-	// arranged as an implicit 4-ary min-heap on the key: the minimum is
-	// always runq[0], so a handoff is one replace-root + sift-down —
-	// O(log₄ N) compares — instead of the O(N) argmin rescan the flat
-	// layout needed, which matters once regions run hundreds of contexts.
-	runq []runqEnt
-	// qtopKey mirrors runq[0].key (MaxUint64 when empty, so the batching
-	// fast path in maybeYield is one comparison with no emptiness branch).
+	// tree is the run queue: a min-winner tournament tree over the packed
+	// scheduling keys of the runnable (not running) contexts. It holds 2·P
+	// words for P = the next power of two ≥ the region's thread count;
+	// tree[P..2P) are the leaves (MaxUint64 when vacant), tree[1] is the
+	// root, and every inner node holds the smaller of its two children. A
+	// key carries its thread id, so the root names the winner directly.
+	// Rebuilt per region in attach on a recycled backing slice.
+	tree []uint64
+	// freeLeaves is the stack of vacant leaf indices: popMin pushes the
+	// winner's leaf, qpush pops one. Sized per region so it never grows.
+	freeLeaves []int32
+	// qtopKey mirrors tree[1] (MaxUint64 when empty, so the batching fast
+	// path in maybeYield is one comparison with no emptiness branch).
 	qtopKey uint64
 	nLive   int // contexts that have not finished their body
 	// htNum/htDen/htMagic cache the HyperThread co-residency factor for
@@ -383,6 +387,7 @@ type Context struct {
 	cache   *Cache // this core's L1 (m.caches[core], cached for the access path)
 	sibling *Context
 	state   ctxState
+	leaf    int32 // run-queue tree leaf while queued (stale otherwise)
 	id      int
 	core    int
 	slot    int // hardware-thread slot within the core (0 or 1)
@@ -453,6 +458,9 @@ func (m *Machine) Run(n int, body func(*Context)) Result {
 	}
 	m.body = body
 	m.attach(n)
+	for _, c := range m.ctxs {
+		m.startCarrier(c)
+	}
 	m.progressMark = 0
 	m.armDeadline()
 	m.fatal = nil
@@ -485,8 +493,8 @@ func (m *Machine) Run(n int, body func(*Context)) Result {
 
 // attach prepares n contexts for a region: records come from the per-machine
 // slab (allocated once, recycled across Run calls), are reset to their
-// initial state, pushed on the run queue, and given a fresh coroutine
-// carrier for the body.
+// initial state, and all enter the run queue. Run then gives each a fresh
+// coroutine carrier for the body.
 func (m *Machine) attach(n int) {
 	if need := n - len(m.ctxSlab); need > 0 {
 		// Grow the slab with one contiguous block: a 512-thread region is a
@@ -503,8 +511,6 @@ func (m *Machine) attach(n int) {
 		panic(fmt.Sprintf("sim: %d threads exceed the packed scheduling key's %d-id capacity", n, 1<<keyIDBits))
 	}
 	m.ctxs = m.ctxSlab[:n]
-	m.runq = m.runq[:0]
-	m.qtopKey = ^uint64(0)
 	m.htNum = uint64(m.Costs.HTFactorNum)
 	m.htDen = uint64(m.Costs.HTFactorDen)
 	if m.htDen > 1 {
@@ -551,10 +557,7 @@ func (m *Machine) attach(n int) {
 			c.sibling.sibling = c
 		}
 	}
-	for _, c := range m.ctxs {
-		m.qpush(c)
-		m.startCarrier(c)
-	}
+	m.buildRunQueue()
 }
 
 // startCarrier creates the coroutine carrier that executes c's body for this
@@ -671,7 +674,7 @@ func (m *Machine) finish(c *Context) {
 	c.state = ctxDone
 	c.Progress()
 	m.nLive--
-	if len(m.runq) > 0 {
+	if !m.qempty() {
 		c.finishPark(m.popMin().parkedIn)
 		return
 	}
@@ -771,9 +774,9 @@ func (m *Machine) onDeadline(c *Context) {
 //
 // The fast path — the current context still holds the minimum — costs one
 // comparison against the cached queue minimum and no coroutine switch. The
-// handover path replaces the departing minimum (the heap root) with c in
-// place and sifts it down; the successor depends only on the (clock, id)
-// key set, so the schedule is unchanged.
+// handover path puts c in the departing winner's leaf and replays that one
+// leaf-to-root path; the successor depends only on the (clock, id) key set,
+// so the schedule is unchanged.
 func (c *Context) maybeYield() {
 	m := c.m
 	if c.key < m.qtopKey {
@@ -783,11 +786,7 @@ func (c *Context) maybeYield() {
 		// context is due.
 		return
 	}
-	next := m.runq[0].ctx
-	m.runq[0] = runqEnt{key: c.key, ctx: c}
-	m.siftDown(0)
-	m.qtopKey = m.runq[0].key
-	c.parkOn(next.parkedIn)
+	c.parkOn(m.replaceTop(c).parkedIn)
 }
 
 // Block parks the context until another context calls Wake on it.
@@ -807,7 +806,7 @@ func (c *Context) Block() {
 		return
 	}
 	c.state = ctxBlocked
-	if len(m.runq) == 0 {
+	if m.qempty() {
 		m.deadlock(c)
 	}
 	c.parkOn(m.popMin().parkedIn)
@@ -974,17 +973,17 @@ func (c *Context) TxAccess(a Addr, write bool) {
 	c.access(a, write, true)
 }
 
-// The runnable queue is an implicit 4-ary min-heap over contiguous 16-byte
-// entries. Packed keys are unique (unique thread ids), so the minimum is
-// unique and extraction depends only on the key set — any correct priority
-// structure yields the identical schedule, which is why swapping the flat
-// argmin rescan for the heap is byte-identical at every topology. The heap
-// wins once regions run dozens to hundreds of contexts: a handoff costs
-// O(log₄ N) sifting instead of an O(N) rescan, while the batching fast path
-// (one compare against the cached root key) is untouched. Arity 4 keeps the
-// tree shallow and lets one sift level's children share a host cache line.
-// The backing slice is recycled across regions, so the hot path never
-// allocates.
+// The run queue is a min-winner tournament tree over packed keys. Keys are
+// unique (unique thread ids), so the minimum is unique and extraction
+// depends only on the key set — any correct priority structure yields the
+// identical schedule. Every queue operation is one leaf write plus a log₂P
+// walk to the root that carries the running minimum (k = min(k, sibling),
+// a conditional move) with no data-dependent branch: runnable contexts'
+// clocks sit close together, so a compare-and-branch structure such as a
+// heap's sift-down mispredicts on about every other child compare. The
+// batching fast path (one compare against the cached root key) is
+// untouched, and the backing slices are recycled across regions, so the
+// hot path never allocates.
 
 // keyIDBits is the width of the thread-id field in the packed scheduling
 // key (key = clock<<keyIDBits | id). 10 bits bounds regions to 1024 threads
@@ -992,83 +991,82 @@ func (c *Context) TxAccess(a Addr, write bool) {
 // cycles; attach and the Invariants clock check enforce the limits.
 const keyIDBits = 10
 
-// heapArity is the run-queue heap's branching factor.
-const heapArity = 4
+// keyIDMask extracts the thread id from a packed scheduling key.
+const keyIDMask = 1<<keyIDBits - 1
 
-// runqEnt is one runnable-queue entry: the context's packed scheduling key,
-// snapshotted at enqueue time, plus the context itself. A queued context's
-// key never changes (only the running context is charged, and Wake adjusts
-// the clock before enqueueing), so the snapshot cannot go stale.
-type runqEnt struct {
-	key uint64
-	ctx *Context
+// buildRunQueue fills the tree with every context of a fresh region: leaf
+// P+i holds thread i's key, the leaves past n stay vacant, and each inner
+// node is built bottom-up as the smaller of its children.
+func (m *Machine) buildRunQueue() {
+	n := len(m.ctxs)
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	if cap(m.tree) < 2*p {
+		m.tree = make([]uint64, 2*p)
+	}
+	t := m.tree[:2*p]
+	m.tree = t
+	for i := 0; i < p; i++ {
+		k := ^uint64(0)
+		if i < n {
+			c := m.ctxs[i]
+			c.leaf = int32(p + i)
+			k = c.key
+		}
+		t[p+i] = k
+	}
+	for i := p - 1; i >= 1; i-- {
+		t[i] = min(t[2*i], t[2*i+1])
+	}
+	m.qtopKey = t[1]
+	if cap(m.freeLeaves) < n {
+		m.freeLeaves = make([]int32, 0, n)
+	}
+	m.freeLeaves = m.freeLeaves[:0]
 }
 
-// qpush appends c to the runnable queue and restores heap order, updating
-// the cached minimum.
+// replay writes key k at leaf i and recomputes the path to the root,
+// returning the new root key. Siblings off the path are unchanged and
+// already hold their subtree minima, so each parent is min(k, sibling).
+func (m *Machine) replay(i int32, k uint64) uint64 {
+	t := m.tree
+	t[i] = k
+	for i > 1 {
+		k = min(k, t[i^1])
+		i >>= 1
+		t[i] = k
+	}
+	return k
+}
+
+// qempty reports whether no context is queued. A vacant leaf holds
+// MaxUint64, which no real key reaches (clocks stay below 2^54).
+func (m *Machine) qempty() bool { return m.qtopKey == ^uint64(0) }
+
+// replaceTop hands the queue minimum's leaf to c in one walk and returns
+// the departing minimum. The caller must ensure the queue is nonempty.
+func (m *Machine) replaceTop(c *Context) *Context {
+	next := m.ctxs[m.qtopKey&keyIDMask]
+	c.leaf = next.leaf
+	m.qtopKey = m.replay(c.leaf, c.key)
+	return next
+}
+
+// qpush queues c at a vacant leaf, updating the cached minimum.
 func (m *Machine) qpush(c *Context) {
-	m.runq = append(m.runq, runqEnt{key: c.key, ctx: c})
-	m.siftUp(len(m.runq) - 1)
-	m.qtopKey = m.runq[0].key
+	last := len(m.freeLeaves) - 1
+	c.leaf = m.freeLeaves[last]
+	m.freeLeaves = m.freeLeaves[:last]
+	m.qtopKey = m.replay(c.leaf, c.key)
 }
 
-// popMin removes and returns the queue minimum (the heap root). The caller
-// must ensure the queue is nonempty.
+// popMin removes and returns the queue minimum (the root's winner),
+// vacating its leaf. The caller must ensure the queue is nonempty.
 func (m *Machine) popMin() *Context {
-	q := m.runq
-	top := q[0].ctx
-	last := len(q) - 1
-	q[0] = q[last]
-	m.runq = q[:last]
-	if last > 0 {
-		m.siftDown(0)
-		m.qtopKey = m.runq[0].key
-	} else {
-		m.qtopKey = ^uint64(0)
-	}
-	return top
-}
-
-// siftUp restores heap order after an append at index i.
-func (m *Machine) siftUp(i int) {
-	q := m.runq
-	ent := q[i]
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if q[p].key <= ent.key {
-			break
-		}
-		q[i] = q[p]
-		i = p
-	}
-	q[i] = ent
-}
-
-// siftDown restores heap order after the entry at index i was replaced.
-func (m *Machine) siftDown(i int) {
-	q := m.runq
-	n := len(q)
-	ent := q[i]
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		min, minKey := first, q[first].key
-		for j := first + 1; j < last; j++ {
-			if q[j].key < minKey {
-				min, minKey = j, q[j].key
-			}
-		}
-		if ent.key <= minKey {
-			break
-		}
-		q[i] = q[min]
-		i = min
-	}
-	q[i] = ent
+	c := m.ctxs[m.qtopKey&keyIDMask]
+	m.freeLeaves = append(m.freeLeaves, c.leaf)
+	m.qtopKey = m.replay(c.leaf, ^uint64(0))
+	return c
 }
