@@ -34,20 +34,19 @@
 //
 // Supervision and recovery (DESIGN.md §13):
 //
-//   - Every simulation cell runs under the runner's supervision layer:
-//     transient failures (injected with -jobchaos for testing) are retried
-//     with seeded backoff up to -retries times, deterministic failures are
+//   - Every simulation cell runs under the runner's containment: a failed
+//     cell (error, panic, or one poisoned with -poison for testing) is
 //     quarantined so the rest of the sweep completes, and the quarantined
 //     cells are listed in a summary. Exit codes distinguish the outcomes:
 //     0 clean, 1 total failure (every section failed, or more than
 //     -quarantine cells quarantined), 3 degraded (some sections failed,
 //     the rest reproduced), 2 usage, 130 interrupted.
-//   - Completed sections checkpoint to a progress journal (-journal,
-//     default .reproduce.journal; see internal/journal). SIGINT/SIGTERM
-//     finishes the current section, syncs the checkpoint, prints a resume
-//     hint, and exits 130; a second signal aborts immediately. -resume
-//     replays the completed sections byte-identically and re-runs only the
-//     rest. A clean finish removes the journal.
+//   - Resume is a rerun against the same cache. The memo store saves each
+//     cell atomically as it finishes, so SIGINT/SIGTERM finishes the current
+//     section, prints a hint, and exits 130 (a second signal aborts
+//     immediately); a plain rerun serves every finished cell from -cache
+//     and simulates only the rest, with byte-identical stdout. With
+//     -cache off a rerun starts over.
 package main
 
 import (
@@ -235,17 +234,8 @@ type benchReport struct {
 	CacheHits      uint64     `json:"cache_hits"`
 	CacheMisses    uint64     `json:"cache_misses"`
 	CacheInvalid   uint64     `json:"cache_invalid"`
-	Retries        uint64     `json:"retries"`
 	Quarantined    uint64     `json:"quarantined"`
-	ResumedCells   int        `json:"resumed_cells"`
 	Experiments    []benchRow `json:"experiments"`
-}
-
-// sectionRecord is the journal payload of one completed section: everything
-// needed to replay it byte-identically (and keep its bench row) on -resume.
-type sectionRecord struct {
-	Body      string `json:"body"`
-	SimEvents uint64 `json:"sim_events"`
 }
 
 // options are the parsed command-line settings; run takes them explicitly so
@@ -282,15 +272,15 @@ func main() {
 	o.Finish(flag.CommandLine)
 
 	// Graceful interrupt: the first SIGINT/SIGTERM lets the current section
-	// finish and checkpoint (simulated regions cannot be preempted); a second
-	// aborts immediately — the journal is synced per record, so even the
-	// abort loses nothing already completed.
+	// finish (simulated regions cannot be preempted); a second aborts
+	// immediately — the memo store saves each cell as it finishes, so even
+	// the abort loses only the cells in flight.
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigc
 		interrupted.Store(true)
-		fmt.Fprintln(os.Stderr, "reproduce: interrupted — finishing the current section and checkpointing (interrupt again to abort now)")
+		fmt.Fprintln(os.Stderr, "reproduce: interrupted — finishing the current section (interrupt again to abort now)")
 		<-sigc
 		os.Exit(exitInterrupted)
 	}()
@@ -342,19 +332,6 @@ func run(o options, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// The progress journal opens after Setup so its identity sees the armed
-	// fault plan through the model fingerprint. Resume notes go to stderr;
-	// replayed bodies below go to stdout, byte-identical to a fresh run.
-	jnl, done := o.OpenJournal("reproduce", "", stderr)
-	jnlOpen := jnl != nil
-	closeJournal := func() {
-		if jnlOpen {
-			jnl.Close()
-			jnlOpen = false
-		}
-	}
-	defer closeJournal()
-
 	start := time.Now()
 	var rows []benchRow
 	type failure struct {
@@ -362,7 +339,7 @@ func run(o options, stdout, stderr io.Writer) int {
 		err error
 	}
 	var failures []failure
-	completed, resumed, skipped := 0, 0, 0
+	completed, skipped := 0, 0
 	for _, ex := range catalog {
 		if selected != nil && !selected[strings.ToUpper(ex.alias)] && !selected[strings.ToUpper(ex.id)] {
 			continue
@@ -370,17 +347,6 @@ func run(o options, stdout, stderr io.Writer) int {
 		if interrupted.Load() {
 			skipped++
 			continue
-		}
-		if payload, ok := done[ex.id]; ok {
-			var rec sectionRecord
-			if err := json.Unmarshal(payload, &rec); err == nil {
-				fmt.Fprintf(stdout, "\n--- %s ---\n%s", ex.id, rec.Body)
-				completed++
-				resumed++
-				rows = append(rows, benchRow{ID: ex.id, SimEvents: rec.SimEvents})
-				continue
-			}
-			fmt.Fprintf(stderr, "journal: entry for %s undecodable; re-running it\n", ex.id)
 		}
 		t0 := time.Now()
 		ev0 := suite.E.Stats().Events
@@ -395,33 +361,28 @@ func run(o options, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "\n--- %s ---\n%s", ex.id, body)
 		completed++
-		events := suite.E.Stats().Events - ev0
 		rows = append(rows, benchRow{
 			ID:        ex.id,
 			Seconds:   time.Since(t0).Seconds(),
-			SimEvents: events,
+			SimEvents: suite.E.Stats().Events - ev0,
 		})
-		if jnlOpen {
-			payload, _ := json.Marshal(sectionRecord{Body: body, SimEvents: events})
-			if err := jnl.Record(ex.id, payload); err != nil {
-				fmt.Fprintln(stderr, err)
-			}
-		}
 	}
 	total := time.Since(start)
 
-	// Supervision diagnostics (retry/backoff history, quarantine reasons) go
-	// to stderr: stdout must stay byte-identical between a clean run and a
-	// -jobchaos run whose transient faults were all absorbed.
-	runopts.ReportSupervision(stderr, suite.E)
+	// A store that cannot save (full disk, removed directory) silently turns
+	// every rerun cold, and the store is the only resume point: say so.
+	if store != nil {
+		if n := store.Stats().SaveErrors; n > 0 {
+			fmt.Fprintf(stderr, "reproduce: %d cache entries could not be saved to %s; a rerun will simulate them again\n", n, store.Dir())
+		}
+	}
 
 	if interrupted.Load() && skipped > 0 {
-		closeJournal() // keep the file: it is the resume point
-		if path := o.JournalPath("reproduce"); path != "" {
-			fmt.Fprintf(stderr, "reproduce: interrupted with %d section(s) done and %d to go; rerun with -resume to continue from %s\n",
-				completed, skipped, path)
+		if store != nil {
+			fmt.Fprintf(stderr, "reproduce: interrupted with %d section(s) done and %d to go; a plain rerun serves finished cells from %s\n",
+				completed, skipped, store.Dir())
 		} else {
-			fmt.Fprintf(stderr, "reproduce: interrupted with %d section(s) to go (journaling off; a rerun starts over)\n", skipped)
+			fmt.Fprintf(stderr, "reproduce: interrupted with %d section(s) to go (cache off; a rerun starts over)\n", skipped)
 		}
 		return exitInterrupted
 	}
@@ -434,7 +395,7 @@ func run(o options, stdout, stderr io.Writer) int {
 		// way). Skip unless explicitly forced.
 		fmt.Fprintf(stderr, "skipping %s: partial (-only) run; pass -benchforce to write it anyway\n", o.benchPath)
 	default:
-		if err := writeBench(o.benchPath, suite, store, total, rows, resumed, stderr); err != nil {
+		if err := writeBench(o.benchPath, suite, store, total, rows, stderr); err != nil {
 			fmt.Fprintln(stderr, err)
 			return exitUsage
 		}
@@ -465,11 +426,8 @@ func run(o options, stdout, stderr io.Writer) int {
 		footer = fmt.Sprintf("host time; cache: %d hits, %d misses, %d invalid", st.CacheHits, st.CacheMisses, st.CacheInvalid)
 	}
 	if len(failures) > 0 {
-		// Failures keep the journal: the completed sections stay resumable
-		// while the cause is investigated.
-		closeJournal()
 		if quarantined := suite.E.Quarantined(); len(quarantined) > 0 {
-			fmt.Fprintf(stdout, "\nquarantined cells (%d, deterministic failures; not retried):\n", len(quarantined))
+			fmt.Fprintf(stdout, "\nquarantined cells (%d):\n", len(quarantined))
 			for _, k := range quarantined {
 				fmt.Fprintf(stdout, "  %s\n", k)
 			}
@@ -484,13 +442,6 @@ func run(o options, stdout, stderr io.Writer) int {
 		}
 		return exitDegraded
 	}
-	if jnlOpen {
-		// Clean finish: nothing left to resume.
-		jnlOpen = false
-		if err := jnl.Done(); err != nil {
-			fmt.Fprintln(stderr, err)
-		}
-	}
 	fmt.Fprintf(stdout, "\nreproduced all experiments in %.1fs (%s)\n", total.Seconds(), footer)
 	return exitOK
 }
@@ -500,7 +451,7 @@ func run(o options, stdout, stderr io.Writer) int {
 // run that simulated cells sets cold_seconds (resetting a now-unpaired warm
 // time), a fully cache-served run sets warm_seconds and keeps the matching
 // cold time.
-func writeBench(path string, suite *experiments.Suite, store *memo.Store, total time.Duration, rows []benchRow, resumed int, stderr io.Writer) error {
+func writeBench(path string, suite *experiments.Suite, store *memo.Store, total time.Duration, rows []benchRow, stderr io.Writer) error {
 	st := suite.E.Stats()
 	rep := benchReport{
 		Parallel:       st.Workers,
@@ -514,9 +465,7 @@ func writeBench(path string, suite *experiments.Suite, store *memo.Store, total 
 		CacheHits:      st.CacheHits,
 		CacheMisses:    st.CacheMisses,
 		CacheInvalid:   st.CacheInvalid,
-		Retries:        st.Retries,
 		Quarantined:    st.Quarantined,
-		ResumedCells:   resumed,
 		Experiments:    rows,
 	}
 	if s := total.Seconds(); s > 0 {

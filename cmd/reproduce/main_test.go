@@ -302,3 +302,21 @@ func TestRunTimeout(t *testing.T) {
 		t.Fatalf("missing timeout cause:\n%s", out.String())
 	}
 }
+
+// TestRunCPUProfile: -cpuprofile writes a profile of the run; an unwritable
+// path is a usage error before anything runs.
+func TestRunCPUProfile(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "cpu.prof")
+	var out, errOut strings.Builder
+	if code := run(options{only: "A3", cpuProfile: prof}, &out, &errOut); code != 0 {
+		t.Fatalf("exit = %d; stderr: %s", code, errOut.String())
+	}
+	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+		t.Fatalf("profile not written: %v", err)
+	}
+	out.Reset()
+	bad := filepath.Join(t.TempDir(), "missing", "cpu.prof")
+	if code := run(options{only: "A3", cpuProfile: bad}, &out, &errOut); code != exitUsage || out.Len() != 0 {
+		t.Fatalf("unwritable profile path: exit = %d, stdout %q", code, out.String())
+	}
+}

@@ -8,13 +8,12 @@
 // fault injection. Output is deterministic per (seeds, engines, chaos seed):
 // same flags, same bytes.
 //
-// Seeds run as supervised jobs on the shared runner engine: a seed whose
-// harness crashes (or suffers an injected -jobchaos fault) is retried per
-// -retries, deterministic failures are quarantined, and the sweep completes
-// around them — an errored seed is reported in place and the rest still
-// cross-check. Completed seeds checkpoint to a progress journal (-journal,
-// default .verify.journal); SIGINT/SIGTERM checkpoints and exits 130, and
-// -resume replays finished seeds byte-identically.
+// Seeds run as jobs on the shared runner engine: a seed whose harness
+// crashes (or is poisoned with -poison) is contained and quarantined, and
+// the sweep completes around it — an errored seed is reported in place and
+// the rest still cross-check. SIGINT/SIGTERM stops the sweep within one
+// submission window and exits 130; a rerun starts over (a 500-seed sweep
+// takes about a second).
 //
 // Exit status: 0 all seeds agree; 1 violations found or no seed completed
 // (or quarantine exceeded -quarantine); 2 usage error; 3 some seeds errored
@@ -22,7 +21,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -87,17 +85,16 @@ func parseTopology(s string) (sockets, cores, tpc int, err error) {
 
 // seedOutcome is one seed's complete result: the rendered per-seed lines
 // (empty unless the seed failed or -v is on) plus the aggregate counters the
-// summary needs. It is the journal payload, so a resumed sweep replays both
-// the bytes and the totals.
+// summary needs.
 type seedOutcome struct {
-	Lines     string         `json:"lines"`
-	Bad       bool           `json:"bad"`
-	Txns      uint64         `json:"txns"`
-	Starts    uint64         `json:"starts"`
-	Aborts    uint64         `json:"aborts"`
-	Fallbacks uint64         `json:"fallbacks"`
-	TL2Aborts uint64         `json:"tl2_aborts"`
-	Counts    map[string]int `json:"counts,omitempty"`
+	Lines     string
+	Bad       bool
+	Txns      uint64
+	Starts    uint64
+	Aborts    uint64
+	Fallbacks uint64
+	TL2Aborts uint64
+	Counts    map[string]int
 }
 
 func main() {
@@ -115,7 +112,7 @@ func main() {
 	go func() {
 		<-sigc
 		interrupted.Store(true)
-		fmt.Fprintln(os.Stderr, "verify: interrupted — draining in-flight seeds and checkpointing (interrupt again to abort now)")
+		fmt.Fprintln(os.Stderr, "verify: interrupted — draining in-flight seeds (interrupt again to abort now)")
 		<-sigc
 		os.Exit(exitInterrupted)
 	}()
@@ -214,49 +211,21 @@ func run(o options, stdout, stderr io.Writer) int {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Seeds are independent supervised jobs: fan out across host workers,
-	// then collect in seed order so output stays byte-deterministic
-	// regardless of -parallel — retries and backoff included (the
-	// supervision history is a pure function of policy seed and cell key).
+	// Seeds are independent jobs: fan out across host workers, then collect
+	// in seed order so output stays byte-deterministic regardless of
+	// -parallel, errored and quarantined seeds included.
 	e := runner.New(workers)
-	o.Supervise(e, stderr)
-
-	// Unlike reproduce, verify configures its machines explicitly (no
-	// process-wide run defaults), so the journal identity must carry every
-	// output-affecting flag alongside the model fingerprint.
-	extra := fmt.Sprintf("engines=%s|v=%t|chaos=%t:%d|max=%d|stall=%d|topo=%dx%dx%d|model=%s|layout=%s",
-		o.engines, o.verbose, o.ChaosSet, o.ChaosSeed, o.MaxCycles, o.EffectiveStallCycles(),
-		sockets, cores, tpc, o.HTMModel, o.Layout)
-	jnl, done := o.OpenJournal("verify", extra, stderr)
-	jnlOpen := jnl != nil
-	closeJournal := func() {
-		if jnlOpen {
-			jnl.Close()
-			jnlOpen = false
-		}
-	}
-	defer closeJournal()
-	seedKey := func(i int) runner.Key { return runner.Key(fmt.Sprintf("seed/%d", i+1)) }
+	o.ArmPoison(e, stderr)
 
 	// Lazy submission keeps a window of jobs ahead of the in-order
 	// collector, so an interrupt stops the sweep within one window instead
 	// of running every remaining seed to completion.
 	futs := make([]runner.Future[seedOutcome], o.seeds)
-	replayed := make([]bool, o.seeds)
-	for i := 0; i < o.seeds; i++ {
-		_, replayed[i] = done[string(seedKey(i))]
-	}
 	submitted := 0
 	submitThrough := func(target int) {
-		if target > o.seeds {
-			target = o.seeds
-		}
-		for ; submitted < target; submitted++ {
+		for ; submitted < min(target, o.seeds); submitted++ {
 			i := submitted
-			if replayed[i] {
-				continue
-			}
-			futs[i] = runner.Submit(e, seedKey(i), func() (seedOutcome, error) {
+			futs[i] = runner.Submit(e, runner.Key(fmt.Sprintf("seed/%d", i+1)), func() (seedOutcome, error) {
 				seed := int64(i + 1)
 				w := check.Generate(seed, check.ShapeForTopology(seed, maxThreads))
 				return renderOutcome(i, check.Differential(w, engines, opts), o.verbose), nil
@@ -266,39 +235,8 @@ func run(o options, stdout, stderr io.Writer) int {
 
 	var total seedOutcome
 	counts := map[string]int{}
-	badSeeds, errored, completed, resumed, skipped := 0, 0, 0, 0, 0
-	aggregate := func(out seedOutcome) {
-		fmt.Fprint(stdout, out.Lines)
-		completed++
-		total.Txns += out.Txns
-		total.Starts += out.Starts
-		total.Aborts += out.Aborts
-		total.Fallbacks += out.Fallbacks
-		total.TL2Aborts += out.TL2Aborts
-		for k, n := range out.Counts {
-			counts[k] += n
-		}
-		if out.Bad {
-			badSeeds++
-		}
-	}
+	badSeeds, errored, completed, skipped := 0, 0, 0, 0
 	for i := 0; i < o.seeds; i++ {
-		if replayed[i] {
-			var out seedOutcome
-			if err := json.Unmarshal(done[string(seedKey(i))], &out); err != nil {
-				fmt.Fprintf(stderr, "journal: entry for %s undecodable; re-running it\n", seedKey(i))
-				replayed[i] = false
-				futs[i] = runner.Submit(e, seedKey(i), func() (seedOutcome, error) {
-					seed := int64(i + 1)
-					w := check.Generate(seed, check.ShapeForTopology(seed, maxThreads))
-					return renderOutcome(i, check.Differential(w, engines, opts), o.verbose), nil
-				})
-			} else {
-				aggregate(out)
-				resumed++
-				continue
-			}
-		}
 		if i >= submitted {
 			if interrupted.Load() {
 				skipped = o.seeds - i
@@ -314,25 +252,23 @@ func run(o options, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "seed %4d ERROR %v\n", i+1, err)
 			continue
 		}
-		aggregate(out)
-		if jnlOpen {
-			payload, _ := json.Marshal(out)
-			if err := jnl.Record(string(seedKey(i)), payload); err != nil {
-				fmt.Fprintln(stderr, err)
-			}
+		fmt.Fprint(stdout, out.Lines)
+		completed++
+		total.Txns += out.Txns
+		total.Starts += out.Starts
+		total.Aborts += out.Aborts
+		total.Fallbacks += out.Fallbacks
+		total.TL2Aborts += out.TL2Aborts
+		for k, n := range out.Counts {
+			counts[k] += n
+		}
+		if out.Bad {
+			badSeeds++
 		}
 	}
 
-	runopts.ReportSupervision(stderr, e)
-
 	if interrupted.Load() && skipped > 0 {
-		closeJournal()
-		if path := o.JournalPath("verify"); path != "" {
-			fmt.Fprintf(stderr, "verify: interrupted with %d seed(s) done and %d to go; rerun with -resume to continue from %s\n",
-				completed, skipped, path)
-		} else {
-			fmt.Fprintf(stderr, "verify: interrupted with %d seed(s) to go (journaling off; a rerun starts over)\n", skipped)
-		}
+		fmt.Fprintf(stderr, "verify: interrupted with %d seed(s) done and %d to go; a rerun starts over\n", completed, skipped)
 		return exitInterrupted
 	}
 
@@ -342,18 +278,6 @@ func run(o options, stdout, stderr io.Writer) int {
 		counts[string(check.KindInvariant)], counts[string(check.KindFailure)])
 	fmt.Fprintf(stdout, "verify: %d transactions per engine; tsx starts %d aborts %d fallbacks %d; tl2 aborts %d\n",
 		total.Txns, total.Starts, total.Aborts, total.Fallbacks, total.TL2Aborts)
-	if errored == 0 {
-		// Every seed completed: nothing left to resume. Violations are
-		// deterministic, so the journal has no recovery value for them.
-		if jnlOpen {
-			jnlOpen = false
-			if err := jnl.Done(); err != nil {
-				fmt.Fprintln(stderr, err)
-			}
-		}
-	} else {
-		closeJournal() // keep: errored seeds re-run under -resume
-	}
 	if badSeeds > 0 {
 		fmt.Fprintf(stdout, "verify: FAILED on %d of %d seeds\n", badSeeds, o.seeds)
 		return exitTotalFailure

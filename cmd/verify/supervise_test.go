@@ -1,32 +1,28 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"tsxhpc/internal/runopts"
 )
 
-// Supervision, containment, and checkpoint/resume tests for the verify
-// sweep. These drive run() in-process and must not run in parallel (the
-// package-level interrupted flag).
+// Containment, quarantine, and interrupt tests for the verify sweep. These
+// drive run() in-process and must not run in parallel (the package-level
+// interrupted flag).
 
-// TestVerifyPoisonContained is satellite (b): a seed whose harness fails
-// deterministically is reported in place and the rest of the sweep still
-// cross-checks — degraded exit, not total failure, unless the quarantine
-// cap says otherwise.
+// TestVerifyPoisonContained: a seed whose harness fails deterministically is
+// reported in place and the rest of the sweep still cross-checks — degraded
+// exit, not total failure, unless the quarantine cap says otherwise.
 func TestVerifyPoisonContained(t *testing.T) {
 	o := options{seeds: 9, engines: "tsx,fine"}
-	o.Options = runopts.Options{Retries: 3, Quarantine: 8, Poison: "seed/4"}
+	o.Options = runopts.Options{Quarantine: 8, Poison: "seed/4"}
 	code, out, errOut := drive(t, o)
 	if code != exitDegraded {
 		t.Fatalf("exit = %d, want %d (degraded)\nstdout:\n%s\nstderr:\n%s", code, exitDegraded, out, errOut)
 	}
 	for _, want := range []string{
-		"seed    4 ERROR",
-		"injected deterministic job fault",
+		"seed    4 ERROR poisoned cell seed/4",
 		"verify: 9 seeds x tsx,fine:",
 		"verify: DEGRADED: 1 of 9 seeds errored (1 quarantined); the rest agree",
 	} {
@@ -37,8 +33,8 @@ func TestVerifyPoisonContained(t *testing.T) {
 	if strings.Contains(out, "verify: OK") || strings.Contains(out, "FAILED") {
 		t.Fatalf("degraded run claimed OK or FAILED:\n%s", out)
 	}
-	if !strings.Contains(errOut, "quarantined (deterministic failure") {
-		t.Fatalf("stderr missing supervision report:\n%s", errOut)
+	if !strings.Contains(errOut, `poison: cells with key prefix ["seed/4"]`) {
+		t.Fatalf("stderr missing poison note:\n%s", errOut)
 	}
 
 	// A zero quarantine cap turns the same degradation into a total failure.
@@ -48,19 +44,15 @@ func TestVerifyPoisonContained(t *testing.T) {
 	}
 }
 
-// TestVerifySupervisionParallelDeterminism is satellite (c) for verify:
-// injected transient faults are absorbed by retry/backoff with stdout AND
-// the supervision history on stderr byte-identical at -parallel 1 and 8
-// (jobchaos seed 6 makes three of the twelve seeds flaky).
+// TestVerifySupervisionParallelDeterminism: a sweep with quarantined seeds
+// prints byte-identical stdout and stderr at -parallel 1 and 8, and the
+// seeds that did run print exactly what a fault-free sweep prints for them.
 func TestVerifySupervisionParallelDeterminism(t *testing.T) {
 	do := func(parallel int) (string, string) {
 		o := options{seeds: 12, engines: "tsx,fine", verbose: true}
-		o.Options = runopts.Options{
-			Parallel: parallel, Retries: 3, Quarantine: 8,
-			JobChaosSet: true, JobChaosSeed: 6,
-		}
+		o.Options = runopts.Options{Parallel: parallel, Quarantine: 8, Poison: "seed/3,seed/7"}
 		code, out, errOut := drive(t, o)
-		if code != 0 {
+		if code != exitDegraded {
 			t.Fatalf("exit = %d at -parallel %d\nstdout:\n%s\nstderr:\n%s", code, parallel, out, errOut)
 		}
 		return out, errOut
@@ -68,66 +60,30 @@ func TestVerifySupervisionParallelDeterminism(t *testing.T) {
 	out1, err1 := do(1)
 	out8, err8 := do(8)
 	if out1 != out8 {
-		t.Fatalf("-parallel changed stdout under jobchaos:\n%s\n---\n%s", out1, out8)
+		t.Fatalf("-parallel changed stdout:\n%s\n---\n%s", out1, out8)
 	}
 	if err1 != err8 {
-		t.Fatalf("-parallel changed the supervision history:\n%s\n---\n%s", err1, err8)
+		t.Fatalf("-parallel changed stderr:\n%s\n---\n%s", err1, err8)
 	}
-	for _, want := range []string{"jobchaos: job-level fault injection enabled", "retrying after", "recovered after"} {
-		if !strings.Contains(err1, want) {
-			t.Fatalf("stderr missing %q:\n%s", want, err1)
+	if !strings.Contains(out1, "verify: DEGRADED: 2 of 12 seeds errored (2 quarantined)") {
+		t.Fatalf("stdout missing degraded verdict:\n%s", out1)
+	}
+
+	_, cleanOut, _ := drive(t, options{seeds: 12, engines: "tsx,fine", verbose: true})
+	for _, line := range strings.Split(cleanOut, "\n") {
+		if strings.HasPrefix(line, "seed ") && !strings.HasPrefix(line, "seed    3 ") && !strings.HasPrefix(line, "seed    7 ") &&
+			!strings.Contains(out1, line+"\n") {
+			t.Fatalf("quarantine changed a healthy seed's line %q:\n%s", line, out1)
 		}
-	}
-
-	// The chaotic sweep's verdict matches a fault-free one.
-	clean := options{seeds: 12, engines: "tsx,fine", verbose: true}
-	if _, cleanOut, _ := drive(t, clean); cleanOut != out1 {
-		t.Fatalf("jobchaos changed stdout:\n--- clean ---\n%s\n--- chaotic ---\n%s", cleanOut, out1)
-	}
-}
-
-// TestVerifyResumeByteIdentity: a degraded run keeps its journal; a -resume
-// rerun replays the completed seeds from the checkpoint, re-executes only
-// the errored one, and the combined stdout is byte-identical to an
-// uninterrupted clean sweep.
-func TestVerifyResumeByteIdentity(t *testing.T) {
-	clean := options{seeds: 9, engines: "tsx,fine", verbose: true}
-	_, cleanOut, _ := drive(t, clean)
-
-	jnl := filepath.Join(t.TempDir(), "verify.journal")
-	o := options{seeds: 9, engines: "tsx,fine", verbose: true}
-	o.Options = runopts.Options{Retries: 3, Quarantine: 8, Poison: "seed/4", Journal: jnl}
-	if code, out, errOut := drive(t, o); code != exitDegraded {
-		t.Fatalf("poisoned run exit = %d, want %d\nstdout:\n%s\nstderr:\n%s", code, exitDegraded, out, errOut)
-	}
-	if _, err := os.Stat(jnl); err != nil {
-		t.Fatalf("journal missing after degraded run: %v", err)
-	}
-
-	o.Poison = ""
-	o.Resume = true
-	code, out, errOut := drive(t, o)
-	if code != 0 {
-		t.Fatalf("resume run exit = %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
-	}
-	if out != cleanOut {
-		t.Fatalf("resumed stdout differs from uninterrupted run:\n--- clean ---\n%s\n--- resumed ---\n%s", cleanOut, out)
-	}
-	if !strings.Contains(errOut, "resuming 8 completed unit(s)") {
-		t.Fatalf("stderr missing resume note:\n%s", errOut)
-	}
-	if _, err := os.Stat(jnl); !os.IsNotExist(err) {
-		t.Fatalf("journal not removed after clean finish: %v", err)
 	}
 }
 
 // TestVerifyInterruptExitsResumable: with the interrupted flag raised (what
 // the first SIGINT does), the sweep stops submitting seeds, exits 130 with a
-// resume hint, and a -resume rerun completes the clean sweep.
+// hint that a rerun starts over, and a plain rerun completes the clean
+// sweep.
 func TestVerifyInterruptExitsResumable(t *testing.T) {
-	jnl := filepath.Join(t.TempDir(), "verify.journal")
 	o := options{seeds: 9, engines: "tsx,fine", verbose: true}
-	o.Options = runopts.Options{Journal: jnl}
 	interrupted.Store(true)
 	code, out, errOut := drive(t, o)
 	interrupted.Store(false)
@@ -137,21 +93,12 @@ func TestVerifyInterruptExitsResumable(t *testing.T) {
 	if strings.Contains(out, "verify: OK") {
 		t.Fatalf("interrupted run printed a verdict:\n%s", out)
 	}
-	if !strings.Contains(errOut, "rerun with -resume") {
-		t.Fatalf("stderr missing resume hint:\n%s", errOut)
-	}
-	if _, err := os.Stat(jnl); err != nil {
-		t.Fatalf("journal missing after interrupt: %v", err)
+	if !strings.Contains(errOut, "0 seed(s) done and 9 to go; a rerun starts over") {
+		t.Fatalf("stderr missing start-over hint:\n%s", errOut)
 	}
 
-	clean := options{seeds: 9, engines: "tsx,fine", verbose: true}
-	_, cleanOut, _ := drive(t, clean)
-	o.Resume = true
 	code, out, errOut = drive(t, o)
-	if code != 0 {
-		t.Fatalf("resume run exit = %d\nstderr:\n%s", code, errOut)
-	}
-	if out != cleanOut {
-		t.Fatal("post-interrupt resume output differs from a clean run")
+	if code != 0 || !strings.HasSuffix(out, "verify: OK\n") {
+		t.Fatalf("rerun exit = %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
 	}
 }

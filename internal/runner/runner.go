@@ -49,12 +49,8 @@ type Stats struct {
 	// re-executed and the entry rewritten.
 	CacheInvalid uint64
 
-	// Retries counts supervised attempts that failed and were rescheduled
-	// with backoff (zero unless a policy is installed and faults occurred —
-	// supervision is free on the happy path).
-	Retries uint64
-	// Quarantined counts cells isolated by deterministic failures; the rest
-	// of the sweep completes without them.
+	// Quarantined counts failed cells (error, panic, or injected failure);
+	// the rest of the sweep completes without them (see Quarantined).
 	Quarantined uint64
 }
 
@@ -108,10 +104,11 @@ type Engine struct {
 	workers int
 	sem     chan struct{} // worker slots
 	store   Store
-	sup     *supervisor // nil: unsupervised (no retry/quarantine layer)
+	inject  func(Key) error // nil: no injected failures (see SetInject)
 
-	mu   sync.Mutex
-	jobs map[Key]*job
+	mu          sync.Mutex
+	jobs        map[Key]*job
+	quarantined []Key
 
 	executed     uint64
 	deduped      uint64
@@ -164,14 +161,9 @@ func (e *Engine) Stats() Stats {
 	st := Stats{
 		Workers: e.workers, Executed: e.executed, Deduped: e.deduped, Events: e.events,
 		CacheHits: e.cacheHits, CacheMisses: e.cacheMisses, CacheInvalid: e.cacheInvalid,
+		Quarantined: uint64(len(e.quarantined)),
 	}
-	sup := e.sup
 	e.mu.Unlock()
-	if sup != nil {
-		sup.mu.Lock()
-		st.Retries, st.Quarantined = sup.retries, sup.quarantined
-		sup.mu.Unlock()
-	}
 	return st
 }
 
@@ -183,9 +175,11 @@ type Future[T any] struct {
 // Submit schedules fn under key unless a job with that key already ran (or
 // is in flight), in which case the returned future shares its result. fn
 // must be a pure function of key. Before running fn the engine consults its
-// persistent Store (if one is set): a verified hit is returned without
-// simulating anything; a miss or invalid entry runs fn and writes the entry
-// back. Submit never blocks on job execution; collect results with Wait.
+// inject hook (see SetInject) and then its persistent Store (if one is set):
+// a verified hit is returned without simulating anything; a miss or invalid
+// entry runs fn and writes the entry back. A failed job — returned error,
+// panic, or injected failure — is quarantined (see Quarantined). Submit never
+// blocks on job execution; collect results with Wait.
 func Submit[T any](e *Engine, key Key, fn func() (T, error)) Future[T] {
 	e.mu.Lock()
 	if j, ok := e.jobs[key]; ok {
@@ -195,76 +189,61 @@ func Submit[T any](e *Engine, key Key, fn func() (T, error)) Future[T] {
 	}
 	j := &job{done: make(chan struct{})}
 	e.jobs[key] = j
-	store := e.store
-	sup := e.sup
+	store, inject := e.store, e.inject
 	e.mu.Unlock()
 
 	go func() {
 		e.sem <- struct{}{} // acquire a worker slot
 		defer func() {
 			if p := recover(); p != nil {
-				// Containment: one panicking job becomes one failed future;
-				// workers and every other job keep running. Error panics
-				// (e.g. *sim.StallError from a livelock watchdog) are wrapped
-				// so errors.As still reaches the typed cause. With a
-				// supervisor installed this is a second line of defense only:
-				// each attempt is already contained in protect().
-				if err, ok := p.(error); ok {
-					j.err = fmt.Errorf("runner: job %q panicked: %w", key, err)
-				} else {
-					j.err = fmt.Errorf("runner: job %q panicked: %v", key, p)
-				}
+				j.err = panicError(key, p)
 			}
-			if j.events != 0 {
-				e.mu.Lock()
-				e.events += j.events
-				e.mu.Unlock()
-			}
-			<-e.sem
-			close(j.done) // after the event accounting, so Stats() deltas taken post-Wait are exact
+			e.settle(key, j)
 		}()
-		// body is one attempt end to end: store probe, execution, write-back.
-		// The supervisor wraps the whole of it, so injected job-level faults
-		// hit before the store probe — a "flaky host" can fail even a
-		// cache-served cell, which is exactly what resume/retry must absorb.
-		body := func() (any, error) {
-			var cached T
-			switch store.Load(key, &cached) {
-			case StoreHit:
-				e.mu.Lock()
-				e.cacheHits++
-				e.mu.Unlock()
-				return cached, nil
-			case StoreMiss:
-				e.mu.Lock()
-				e.cacheMisses++
-				e.mu.Unlock()
-			case StoreInvalid:
-				e.mu.Lock()
-				e.cacheInvalid++
-				e.mu.Unlock()
-			}
-			e.mu.Lock()
-			e.executed++
-			e.mu.Unlock()
-			v, err := fn()
-			if err == nil {
-				if ev, ok := any(v).(Eventer); ok {
-					j.events = ev.SimEvents()
-				}
-				// Best-effort persistence: a failed write (full disk, races
-				// with another process) only costs a future recompute.
-				_ = store.Save(key, v)
-			}
-			return v, err
-		}
-		if sup != nil {
-			j.val, j.err = sup.run(key, body)
-		} else {
-			j.val, j.err = body()
-		}
+		j.val, j.err = runJob(e, key, store, inject, j, fn)
 	}()
 	return Future[T]{j}
+}
+
+// runJob is one job end to end: injected failure, store probe, execution,
+// write-back. The inject hook runs before the store probe, so a poisoned
+// cell fails even when the store holds a verified entry for it.
+func runJob[T any](e *Engine, key Key, store Store, inject func(Key) error, j *job, fn func() (T, error)) (any, error) {
+	if inject != nil {
+		if err := inject(key); err != nil {
+			return nil, err
+		}
+	}
+	var cached T
+	switch store.Load(key, &cached) {
+	case StoreHit:
+		e.mu.Lock()
+		e.cacheHits++
+		e.mu.Unlock()
+		return cached, nil
+	case StoreMiss:
+		e.mu.Lock()
+		e.cacheMisses++
+		e.mu.Unlock()
+	case StoreInvalid:
+		e.mu.Lock()
+		e.cacheInvalid++
+		e.mu.Unlock()
+	}
+	e.mu.Lock()
+	e.executed++
+	e.mu.Unlock()
+	v, err := fn()
+	if err == nil {
+		if ev, ok := any(v).(Eventer); ok {
+			j.events = ev.SimEvents()
+		}
+		// Best-effort persistence: a failed write (full disk, races with
+		// another process) only costs a future recompute; the store counts
+		// it (memo.Stats.SaveErrors) for the caller to report.
+		_ = store.Save(key, v)
+	}
+	return v, err
 }
 
 // Wait blocks until the job finishes and returns its result. Waiting on a

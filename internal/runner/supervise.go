@@ -1,325 +1,69 @@
 package runner
 
-// Supervision: the failure-handling layer between the job engine and the
-// thousands-of-cells sweeps the roadmap calls for. Once a policy is
-// installed (Engine.Supervise), every job body runs under per-attempt panic
-// containment and a deterministic error taxonomy:
+// Supervision: containment and quarantine, the failure handling between the
+// job engine and the thousands-of-cells sweeps it runs.
 //
-//   - transient: host-level flakiness expected to clear (an injected
-//     job-level fault, a descheduled worker). Retried under the transient
-//     budget with seeded, jittered exponential backoff.
-//   - infrastructure: the host environment failed in a way the simulator
-//     cannot cause (a non-error panic value, an exhausted resource). Retried
-//     under its own, smaller budget.
-//   - deterministic: a pure function of the cell — every simulated machine
-//     is a closed serial system, so a stall, an invariant violation, or a
-//     workload validation failure will recur on every retry. Never retried;
-//     the cell is quarantined so the rest of the sweep completes.
+//   - Containment: every job runs under one recover. A panicking job becomes
+//     one failed future; workers and every other job keep running. Error
+//     panics (the simulator raises *sim.StallError this way) stay reachable
+//     through the error chain.
+//   - Quarantine: every failed job is recorded. A simulation cell is a pure
+//     function of its key — every simulated machine is a closed deterministic
+//     system — so rerunning a failed cell only reproduces the failure; the
+//     sweep completes without it and Quarantined lists it.
 //
-// Determinism contract: the retry/backoff event sequence is a pure function
-// of (policy seed, cell key, attempt number). Host parallelism changes when
-// attempts happen, never what they decide or how long they back off, and
-// JobReports returns the whole sequence sorted by key — so a sweep's
-// supervision log is byte-identical at -parallel 1 and -parallel 8.
+// Resume needs no layer of its own: a persistent Store saves each finished
+// cell atomically, so rerunning an interrupted sweep against the same store
+// serves the finished cells and simulates only the rest.
 //
-// Happy-path cost: one nil check per job. No allocation, no locking, no
-// bookkeeping happens unless an attempt actually fails.
+// Happy-path cost: one nil check for the inject hook per job, and no extra
+// locking unless the job produced events or failed.
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
-	"sync"
-	"time"
 )
 
-// FailureClass is the supervisor's error taxonomy.
-type FailureClass string
+// panicError converts a recovered panic value into the job's error.
+func panicError(key Key, p any) error {
+	if err, ok := p.(error); ok {
+		return fmt.Errorf("runner: job %q panicked: %w", key, err)
+	}
+	return fmt.Errorf("runner: job %q panicked: %v", key, p)
+}
 
-const (
-	// ClassTransient: expected to clear on retry (injected job-level faults,
-	// host flakiness).
-	ClassTransient FailureClass = "transient"
-	// ClassDeterministic: a pure function of the cell; retrying reproduces
-	// it. Quarantined instead of retried.
-	ClassDeterministic FailureClass = "deterministic"
-	// ClassInfrastructure: the host environment failed (non-error panic,
-	// resource exhaustion); retried on a separate budget.
-	ClassInfrastructure FailureClass = "infrastructure"
-)
-
-// classifier is implemented by errors that know their own failure class:
-// sim.StallError (deterministic — the simulator is a closed deterministic
-// system) and faults.JobFault (whatever class was injected). The interface
-// is structural so runner stays independent of those packages.
-type classifier interface{ JobFailureClass() string }
-
-// Classify maps an error to its failure class by probing the error chain for
-// a self-classifying cause. Unclassified errors default to deterministic:
-// everything a simulation cell computes is a pure function of its key, so an
-// unknown failure is presumed reproducible and quarantined rather than
-// burning retries on it.
-func Classify(err error) FailureClass {
-	var c classifier
-	if errors.As(err, &c) {
-		switch FailureClass(c.JobFailureClass()) {
-		case ClassTransient:
-			return ClassTransient
-		case ClassInfrastructure:
-			return ClassInfrastructure
+// settle finishes a job: event accounting, quarantine of a failure, worker
+// slot release, and waking the waiters — in that order, so Stats() deltas
+// taken after Wait are exact.
+func (e *Engine) settle(key Key, j *job) {
+	if j.events != 0 || j.err != nil {
+		e.mu.Lock()
+		e.events += j.events
+		if j.err != nil {
+			e.quarantined = append(e.quarantined, key)
 		}
-		return ClassDeterministic
+		e.mu.Unlock()
 	}
-	return ClassDeterministic
+	<-e.sem
+	close(j.done)
 }
 
-// panicValueError wraps a non-error panic value recovered from a job
-// attempt. Non-error panics are classified as infrastructure faults: the
-// simulator and workloads raise typed errors, so an untyped value means
-// something outside the model went wrong.
-type panicValueError struct{ val any }
-
-func (e *panicValueError) Error() string           { return fmt.Sprintf("panicked: %v", e.val) }
-func (e *panicValueError) JobFailureClass() string { return string(ClassInfrastructure) }
-
-// JobError is the typed failure every supervised job surfaces: the cell key,
-// the failure class that ended it, how many attempts were made, and the last
-// underlying cause (reachable with errors.As/Is through Unwrap).
-type JobError struct {
-	Key      Key
-	Class    FailureClass
-	Attempts int
-	Err      error
-}
-
-func (e *JobError) Error() string {
-	return fmt.Sprintf("runner: job %q failed [%s, %d attempt(s)]: %v", e.Key, e.Class, e.Attempts, e.Err)
-}
-
-func (e *JobError) Unwrap() error { return e.Err }
-
-// RetryPolicy configures supervision. The zero value retries nothing but
-// still provides per-attempt panic containment and quarantine accounting.
-type RetryPolicy struct {
-	// Seed feeds the backoff jitter; with the fault-injection seeds mixed in
-	// (runopts), the same chaos seed reproduces the same backoff sequence.
-	Seed int64
-	// Budget is the per-class retry allowance for one job. Classes absent
-	// from the map are never retried. ClassDeterministic is ignored even if
-	// present: retrying a deterministic failure only reproduces it.
-	Budget map[FailureClass]int
-	// BaseBackoff is the first retry's nominal delay (default 1ms); the
-	// nominal delay doubles each attempt up to MaxBackoff (default 64ms),
-	// and the actual sleep is jittered into [nominal/2, nominal].
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Inject, if set, is consulted before every attempt (including attempts
-	// that would be served by the persistent store): a non-nil error fails
-	// the attempt without running the body. It must be a pure function of
-	// (key, attempt) — internal/faults.JobPlan.Check is the deterministic
-	// implementation behind -jobchaos and -poison.
-	Inject func(key string, attempt int) error
-	// Sleep replaces time.Sleep for backoff waits (tests).
-	Sleep func(time.Duration)
-}
-
-// DefaultRetryPolicy is the standard sweep policy: `retries` transient
-// retries per cell, half that (rounded up) for infrastructure faults, none
-// for deterministic failures.
-func DefaultRetryPolicy(seed int64, retries int) RetryPolicy {
-	if retries < 0 {
-		retries = 0
-	}
-	return RetryPolicy{
-		Seed: seed,
-		Budget: map[FailureClass]int{
-			ClassTransient:      retries,
-			ClassInfrastructure: (retries + 1) / 2,
-		},
-	}
-}
-
-// AttemptRecord is one failed attempt in a job's supervision history.
-type AttemptRecord struct {
-	Attempt int
-	Class   FailureClass
-	Err     string
-	// Retried reports whether the supervisor scheduled another attempt;
-	// Backoff is the jittered delay it waited first (0 on the final, given-up
-	// attempt).
-	Retried bool
-	Backoff time.Duration
-}
-
-// JobReport is the supervision history of one job that failed at least once.
-type JobReport struct {
-	Key      Key
-	Attempts []AttemptRecord
-	// FinalClass is the class that ended the job ("" if a retry eventually
-	// succeeded).
-	FinalClass FailureClass
-	// Quarantined marks a deterministic final failure: the cell is isolated
-	// and the sweep continues without it.
-	Quarantined bool
-}
-
-// supervisor holds the installed policy and the per-job failure histories.
-type supervisor struct {
-	pol RetryPolicy
-
-	mu          sync.Mutex
-	reports     map[Key]*JobReport
-	retries     uint64
-	quarantined uint64
-}
-
-func newSupervisor(pol RetryPolicy) *supervisor {
-	if pol.BaseBackoff <= 0 {
-		pol.BaseBackoff = time.Millisecond
-	}
-	if pol.MaxBackoff <= 0 {
-		pol.MaxBackoff = 64 * time.Millisecond
-	}
-	if pol.Sleep == nil {
-		pol.Sleep = time.Sleep
-	}
-	return &supervisor{pol: pol, reports: make(map[Key]*JobReport)}
-}
-
-// backoff computes the jittered delay before retrying attempt `attempt` of
-// key: nominal = BaseBackoff·2^(attempt-1) capped at MaxBackoff, jittered
-// deterministically into [nominal/2, nominal] by hashing (seed, key,
-// attempt). No shared RNG stream: host scheduling order cannot perturb it.
-func (s *supervisor) backoff(key string, attempt int) time.Duration {
-	nominal := s.pol.BaseBackoff << (attempt - 1)
-	if nominal > s.pol.MaxBackoff || nominal <= 0 {
-		nominal = s.pol.MaxBackoff
-	}
-	h := fnv.New64a()
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[:8], uint64(s.pol.Seed))
-	binary.BigEndian.PutUint64(b[8:], uint64(attempt))
-	h.Write(b[:])
-	h.Write([]byte(key))
-	half := nominal / 2
-	return half + time.Duration(h.Sum64()%uint64(half+1))
-}
-
-// protect runs one attempt with panic containment: an error panic (the
-// simulator raises *sim.StallError this way) is unwrapped into the error
-// chain; a non-error panic becomes an infrastructure-class failure.
-func protect(key Key, fn func() (any, error)) (v any, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if e, ok := p.(error); ok {
-				err = fmt.Errorf("runner: job %q panicked: %w", key, e)
-			} else {
-				err = fmt.Errorf("runner: job %q: %w", key, &panicValueError{p})
-			}
-		}
-	}()
-	return fn()
-}
-
-// run executes one job under the policy: inject, attempt, classify, back
-// off, and either eventually return a success or a *JobError.
-func (s *supervisor) run(key Key, fn func() (any, error)) (any, error) {
-	spent := make(map[FailureClass]int)
-	var rep *JobReport
-	for attempt := 1; ; attempt++ {
-		err := s.inject(string(key), attempt)
-		var v any
-		if err == nil {
-			v, err = protect(key, fn)
-		}
-		if err == nil {
-			if rep != nil {
-				s.file(rep) // recovered after retries: keep the history
-			}
-			return v, nil
-		}
-		class := Classify(err)
-		if rep == nil {
-			rep = &JobReport{Key: key}
-		}
-		rec := AttemptRecord{Attempt: attempt, Class: class, Err: err.Error()}
-		if class != ClassDeterministic && spent[class] < s.pol.Budget[class] {
-			spent[class]++
-			rec.Retried = true
-			rec.Backoff = s.backoff(string(key), attempt)
-			rep.Attempts = append(rep.Attempts, rec)
-			s.mu.Lock()
-			s.retries++
-			s.mu.Unlock()
-			s.pol.Sleep(rec.Backoff)
-			continue
-		}
-		rep.Attempts = append(rep.Attempts, rec)
-		rep.FinalClass = class
-		rep.Quarantined = class == ClassDeterministic
-		s.file(rep)
-		if rep.Quarantined {
-			s.mu.Lock()
-			s.quarantined++
-			s.mu.Unlock()
-		}
-		return nil, &JobError{Key: key, Class: class, Attempts: attempt, Err: err}
-	}
-}
-
-func (s *supervisor) inject(key string, attempt int) error {
-	if s.pol.Inject == nil {
-		return nil
-	}
-	return s.pol.Inject(key, attempt)
-}
-
-func (s *supervisor) file(rep *JobReport) {
-	s.mu.Lock()
-	s.reports[rep.Key] = rep
-	s.mu.Unlock()
-}
-
-// Supervise installs a retry/quarantine policy on the engine. Install it
-// before the first submission; jobs already in flight keep running
-// unsupervised.
-func (e *Engine) Supervise(pol RetryPolicy) {
+// SetInject installs a hook consulted before every job's store probe: a
+// non-nil error fails (and quarantines) the job without running it. It must
+// be a pure function of the key; runopts builds the -poison hook on it. Call
+// it before the first submission.
+func (e *Engine) SetInject(inject func(Key) error) {
 	e.mu.Lock()
-	e.sup = newSupervisor(pol)
+	e.inject = inject
 	e.mu.Unlock()
 }
 
-// JobReports returns the supervision history of every job that failed at
-// least once, sorted by key — a deterministic record of the retry/backoff
-// event sequence regardless of host parallelism. Call after Wait-ing all
-// futures.
-func (e *Engine) JobReports() []JobReport {
-	e.mu.Lock()
-	sup := e.sup
-	e.mu.Unlock()
-	if sup == nil {
-		return nil
-	}
-	sup.mu.Lock()
-	out := make([]JobReport, 0, len(sup.reports))
-	for _, r := range sup.reports {
-		out = append(out, *r)
-	}
-	sup.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// Quarantined returns the keys of cells isolated by deterministic failures,
-// sorted.
+// Quarantined returns the keys of failed jobs, sorted — the same list at any
+// host parallelism. Call after Wait-ing all futures.
 func (e *Engine) Quarantined() []Key {
-	var out []Key
-	for _, r := range e.JobReports() {
-		if r.Quarantined {
-			out = append(out, r.Key)
-		}
-	}
+	e.mu.Lock()
+	out := append([]Key(nil), e.quarantined...)
+	e.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

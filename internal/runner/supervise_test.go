@@ -6,241 +6,135 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"tsxhpc/internal/sim"
 )
 
-// classed is a self-classifying error (the structural contract sim.StallError
-// and faults.JobFault implement).
-type classed struct{ class string }
-
-func (c classed) Error() string           { return "classed failure: " + c.class }
-func (c classed) JobFailureClass() string { return c.class }
-
-func TestClassify(t *testing.T) {
-	cases := []struct {
-		err  error
-		want FailureClass
-	}{
-		{errors.New("anonymous"), ClassDeterministic},
-		{classed{"transient"}, ClassTransient},
-		{classed{"infrastructure"}, ClassInfrastructure},
-		{classed{"deterministic"}, ClassDeterministic},
-		{classed{"unknown-class"}, ClassDeterministic},
-		{fmt.Errorf("wrapped: %w", classed{"transient"}), ClassTransient},
-		{&panicValueError{42}, ClassInfrastructure},
-		{fmt.Errorf("job panicked: %w", &sim.StallError{Kind: sim.StallLivelock}), ClassDeterministic},
-	}
-	for _, tc := range cases {
-		if got := Classify(tc.err); got != tc.want {
-			t.Errorf("Classify(%v) = %s, want %s", tc.err, got, tc.want)
-		}
-	}
-}
-
-// TestTransientRetrySucceeds: injected transient faults on the first two
-// attempts are retried with backoff, the body runs exactly once, and the job
-// succeeds with its history filed.
-func TestTransientRetrySucceeds(t *testing.T) {
-	e := New(2)
-	pol := DefaultRetryPolicy(7, 3)
-	var slept []time.Duration
-	pol.Sleep = func(d time.Duration) { slept = append(slept, d) } // one job: no concurrent appends
-	pol.Inject = func(key string, attempt int) error {
-		if attempt <= 2 {
-			return classed{"transient"}
-		}
-		return nil
-	}
-	e.Supervise(pol)
-	runs := 0
-	v, err := Do(e, "cell/a", func() (int, error) { runs++; return 42, nil })
-	if err != nil || v != 42 {
-		t.Fatalf("Do = %d, %v", v, err)
-	}
-	if runs != 1 {
-		t.Fatalf("body ran %d times, want 1 (injected faults fire before the body)", runs)
-	}
-	st := e.Stats()
-	if st.Retries != 2 || st.Quarantined != 0 || st.Executed != 1 {
-		t.Fatalf("stats = %+v, want 2 retries, 0 quarantined, 1 executed", st)
-	}
-	if len(slept) != 2 || slept[0] <= 0 || slept[1] <= 0 {
-		t.Fatalf("backoff sleeps = %v, want 2 positive delays", slept)
-	}
-	reps := e.JobReports()
-	if len(reps) != 1 || reps[0].Key != "cell/a" || reps[0].FinalClass != "" || reps[0].Quarantined {
-		t.Fatalf("reports = %+v, want one recovered history for cell/a", reps)
-	}
-	if len(reps[0].Attempts) != 2 || !reps[0].Attempts[0].Retried || reps[0].Attempts[0].Backoff != slept[0] {
-		t.Fatalf("attempts = %+v", reps[0].Attempts)
-	}
-}
-
-// TestDeterministicQuarantine: a deterministic failure burns no retries —
-// rerunning a pure function of the cell reproduces it — and lands the cell
-// in quarantine while the engine keeps serving other jobs.
+// TestDeterministicQuarantine: a failing cell runs once — rerunning a pure
+// function of the cell reproduces the failure — and lands in quarantine
+// while the engine keeps serving other jobs.
 func TestDeterministicQuarantine(t *testing.T) {
 	e := New(2)
-	e.Supervise(DefaultRetryPolicy(0, 5))
+	bad := errors.New("validation failed")
 	runs := 0
-	_, err := Do(e, "cell/bad", func() (int, error) { runs++; return 0, errors.New("validation failed") })
-	var je *JobError
-	if !errors.As(err, &je) {
-		t.Fatalf("error %T is not a *JobError: %v", err, err)
-	}
-	if je.Class != ClassDeterministic || je.Attempts != 1 || runs != 1 {
-		t.Fatalf("JobError = %+v after %d runs, want deterministic single attempt", je, runs)
+	_, err := Do(e, "cell/bad", func() (int, error) { runs++; return 0, bad })
+	if !errors.Is(err, bad) || runs != 1 {
+		t.Fatalf("Do = %v after %d runs, want the job's own error after 1 run", err, runs)
 	}
 	if v, err := Do(e, "cell/good", func() (int, error) { return 7, nil }); err != nil || v != 7 {
 		t.Fatalf("healthy job after quarantine: %d, %v", v, err)
 	}
-	if st := e.Stats(); st.Quarantined != 1 || st.Retries != 0 {
-		t.Fatalf("stats = %+v, want 1 quarantined, 0 retries", st)
+	if st := e.Stats(); st.Quarantined != 1 || st.Executed != 2 {
+		t.Fatalf("stats = %+v, want 1 quarantined, 2 executed", st)
 	}
 	if q := e.Quarantined(); len(q) != 1 || q[0] != "cell/bad" {
 		t.Fatalf("quarantined = %v", q)
 	}
 }
 
-// TestPanicClassification: an error panic carrying a typed stall classifies
-// deterministic (single attempt, cause reachable through the chain); a
-// non-error panic is an infrastructure fault and retried on that budget.
-func TestPanicClassification(t *testing.T) {
-	e := New(2)
-	pol := DefaultRetryPolicy(1, 4) // infra budget = (4+1)/2 = 2
-	pol.Sleep = func(time.Duration) {}
-	e.Supervise(pol)
-
-	_, err := Do(e, "cell/stall", func() (int, error) { panic(&sim.StallError{Kind: sim.StallCycleBudget, Limit: 99}) })
-	var je *JobError
-	if !errors.As(err, &je) || je.Class != ClassDeterministic || je.Attempts != 1 {
-		t.Fatalf("stall panic: %v", err)
-	}
-	var se *sim.StallError
-	if !errors.As(err, &se) || se.Limit != 99 {
-		t.Fatalf("typed stall cause lost: %v", err)
-	}
-
-	runs := 0
-	_, err = Do(e, "cell/panic", func() (int, error) { runs++; panic("untyped boom") })
-	if !errors.As(err, &je) || je.Class != ClassInfrastructure {
-		t.Fatalf("untyped panic: %v", err)
-	}
-	if je.Attempts != 3 || runs != 3 {
-		t.Fatalf("attempts = %d (runs %d), want infra budget 2 → 3 attempts", je.Attempts, runs)
-	}
-	if !strings.Contains(err.Error(), "untyped boom") {
-		t.Fatalf("cause text lost: %v", err)
-	}
-}
-
-// TestBudgetExhaustedTransient: the transient budget bounds retries; the
-// final JobError reports the class and total attempts.
-func TestBudgetExhaustedTransient(t *testing.T) {
-	e := New(1)
-	pol := DefaultRetryPolicy(3, 2)
-	pol.Sleep = func(time.Duration) {}
-	pol.Inject = func(string, int) error { return classed{"transient"} }
-	e.Supervise(pol)
-	_, err := Do(e, "cell/flaky", func() (int, error) { return 1, nil })
-	var je *JobError
-	if !errors.As(err, &je) || je.Class != ClassTransient || je.Attempts != 3 {
-		t.Fatalf("err = %v", err)
-	}
-	st := e.Stats()
-	if st.Retries != 2 || st.Quarantined != 0 || st.Executed != 0 {
-		t.Fatalf("stats = %+v (injected faults must not count as executions)", st)
-	}
-	reps := e.JobReports()
-	if len(reps) != 1 || reps[0].FinalClass != ClassTransient || reps[0].Quarantined {
-		t.Fatalf("reports = %+v", reps)
-	}
+// TestFailuresContainedAndQuarantined covers the three ways a cell fails:
+// an error panic and a non-error panic are each contained once into one
+// failed future, and an injected failure fires before the store probe, so a
+// poisoned key fails even when the store holds a verified entry for it.
+// Every case is listed by Quarantined.
+func TestFailuresContainedAndQuarantined(t *testing.T) {
+	t.Run("error panic", func(t *testing.T) {
+		e := New(1)
+		runs := 0
+		_, err := Do(e, "cell/stall", func() (int, error) {
+			runs++
+			panic(&sim.StallError{Kind: sim.StallCycleBudget, Limit: 99})
+		})
+		var se *sim.StallError
+		if !errors.As(err, &se) || se.Limit != 99 {
+			t.Fatalf("typed stall cause lost: %v", err)
+		}
+		if !strings.Contains(err.Error(), `runner: job "cell/stall" panicked: sim:`) || strings.Count(err.Error(), "panicked") != 1 {
+			t.Fatalf("err = %v, want one containment wrapper", err)
+		}
+		if q := e.Quarantined(); runs != 1 || !reflect.DeepEqual(q, []Key{"cell/stall"}) {
+			t.Fatalf("runs = %d, quarantined = %v", runs, q)
+		}
+	})
+	t.Run("non-error panic", func(t *testing.T) {
+		e := New(1)
+		runs := 0
+		_, err := Do(e, "cell/panic", func() (int, error) { runs++; panic("untyped boom") })
+		if err == nil || err.Error() != `runner: job "cell/panic" panicked: untyped boom` {
+			t.Fatalf("err = %v", err)
+		}
+		if q := e.Quarantined(); runs != 1 || !reflect.DeepEqual(q, []Key{"cell/panic"}) {
+			t.Fatalf("runs = %d, quarantined = %v", runs, q)
+		}
+	})
+	t.Run("poison beats store hit", func(t *testing.T) {
+		st := newFakeStore()
+		st.entries["cell/poisoned"] = 5
+		st.entries["cell/clean"] = 6
+		e := New(1)
+		e.SetStore(st)
+		poisoned := errors.New("poisoned")
+		e.SetInject(func(k Key) error {
+			if k == "cell/poisoned" {
+				return poisoned
+			}
+			return nil
+		})
+		fn := func() (int, error) {
+			t.Error("job function ran")
+			return 0, nil
+		}
+		if _, err := Do(e, "cell/poisoned", fn); !errors.Is(err, poisoned) {
+			t.Fatalf("poisoned cell: %v", err)
+		}
+		if v, err := Do(e, "cell/clean", fn); err != nil || v != 6 {
+			t.Fatalf("clean cell: %d, %v", v, err)
+		}
+		s := e.Stats()
+		if s.CacheHits != 1 || s.Executed != 0 || s.Quarantined != 1 {
+			t.Fatalf("stats = %+v, want 1 hit (the clean cell only), 0 executed, 1 quarantined", s)
+		}
+		if q := e.Quarantined(); !reflect.DeepEqual(q, []Key{"cell/poisoned"}) {
+			t.Fatalf("quarantined = %v", q)
+		}
+	})
 }
 
 // TestSupervisionDeterministicAcrossParallelism is the scheduling contract:
-// the complete retry/backoff event sequence — who failed, with what class,
-// after which backoff — is byte-identical at -parallel 1 and -parallel 8.
+// which cells fail, with what error, and the quarantine list are identical
+// at -parallel 1 and -parallel 8.
 func TestSupervisionDeterministicAcrossParallelism(t *testing.T) {
-	run := func(workers int) []JobReport {
+	run := func(workers int) ([]Key, []string) {
 		e := New(workers)
-		pol := DefaultRetryPolicy(99, 2)
-		pol.Sleep = func(time.Duration) {}
-		pol.Inject = func(key string, attempt int) error {
-			switch {
-			case strings.HasSuffix(key, "3"), strings.HasSuffix(key, "7"):
-				if attempt <= 2 {
-					return classed{"transient"}
-				}
-			case strings.HasSuffix(key, "5"):
-				return classed{"deterministic"}
+		e.SetInject(func(k Key) error {
+			if strings.HasSuffix(string(k), "5") {
+				return fmt.Errorf("injected failure for %s", k)
 			}
 			return nil
-		}
-		e.Supervise(pol)
+		})
 		futs := make([]Future[int], 20)
 		for i := range futs {
-			futs[i] = Submit(e, Key(fmt.Sprintf("cell/%d", i)), func() (int, error) { return i, nil })
+			futs[i] = Submit(e, Key(fmt.Sprintf("cell/%d", i)), func() (int, error) {
+				if i == 12 {
+					panic("boom")
+				}
+				return i, nil
+			})
 		}
+		var errs []string
 		for _, f := range futs {
-			f.Wait() // poisoned cells fail; that is the point
+			if _, err := f.Wait(); err != nil {
+				errs = append(errs, err.Error())
+			}
 		}
-		return e.JobReports()
+		return e.Quarantined(), errs
 	}
-	serial, parallel := run(1), run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("supervision history depends on parallelism:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	q1, errs1 := run(1)
+	q8, errs8 := run(8)
+	if !reflect.DeepEqual(q1, q8) || !reflect.DeepEqual(errs1, errs8) {
+		t.Fatalf("supervision outcome depends on parallelism:\nserial:   %v %q\nparallel: %v %q", q1, errs1, q8, errs8)
 	}
-	if len(serial) != 6 { // cells 3,7,13,17 flaky + 5,15 quarantined
-		t.Fatalf("reports = %d, want 6: %+v", len(serial), serial)
-	}
-}
-
-// TestBackoffShape: nominal delay doubles per attempt and is capped; jitter
-// stays within [nominal/2, nominal] and is a pure function of
-// (seed, key, attempt).
-func TestBackoffShape(t *testing.T) {
-	s := newSupervisor(RetryPolicy{Seed: 5, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond})
-	prevNominal := time.Duration(0)
-	for attempt := 1; attempt <= 6; attempt++ {
-		nominal := time.Millisecond << (attempt - 1)
-		if nominal > 8*time.Millisecond {
-			nominal = 8 * time.Millisecond
-		}
-		d := s.backoff("cell/x", attempt)
-		if d < nominal/2 || d > nominal {
-			t.Fatalf("attempt %d backoff %v outside [%v, %v]", attempt, d, nominal/2, nominal)
-		}
-		if d2 := s.backoff("cell/x", attempt); d2 != d {
-			t.Fatalf("backoff not deterministic: %v vs %v", d, d2)
-		}
-		if nominal < prevNominal {
-			t.Fatalf("nominal shrank")
-		}
-		prevNominal = nominal
-	}
-	if s.backoff("cell/x", 1) == s.backoff("cell/y", 1) &&
-		s.backoff("cell/x", 2) == s.backoff("cell/y", 2) &&
-		s.backoff("cell/x", 3) == s.backoff("cell/y", 3) {
-		t.Fatal("distinct keys produced identical jitter at every attempt")
-	}
-}
-
-// TestUnsupervisedEngineUnchanged: without a policy the engine keeps its
-// original containment contract (panic → wrapped error) and reports no
-// supervision state.
-func TestUnsupervisedEngineUnchanged(t *testing.T) {
-	e := New(1)
-	_, err := Do(e, "cell/p", func() (int, error) { panic(errors.New("raw")) })
-	if err == nil || !strings.Contains(err.Error(), `job "cell/p" panicked: raw`) {
-		t.Fatalf("err = %v", err)
-	}
-	var je *JobError
-	if errors.As(err, &je) {
-		t.Fatalf("unsupervised failure produced a JobError: %v", err)
-	}
-	if reps := e.JobReports(); reps != nil {
-		t.Fatalf("reports = %+v, want nil", reps)
+	if want := []Key{"cell/12", "cell/15", "cell/5"}; !reflect.DeepEqual(q1, want) {
+		t.Fatalf("quarantined = %v, want %v", q1, want)
 	}
 }

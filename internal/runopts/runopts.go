@@ -1,9 +1,10 @@
 // Package runopts is the shared experiment-runner flag plumbing for every
 // cmd binary: host parallelism (-parallel), deterministic fault injection
-// (-chaos at the machine level, -jobchaos/-poison at the job level),
-// robustness budgets (-maxcycles, -stallcycles), supervision knobs
-// (-retries, -quarantine), checkpoint/resume (-journal, -resume), and the
-// persistent result cache (-cache). cmd/reproduce and the per-figure tools
+// (-chaos at the machine level, -poison at the job level), robustness
+// budgets (-maxcycles, -stallcycles), the quarantine cap (-quarantine), and
+// the persistent result cache (-cache), which is also the resume point: a
+// rerun against the same cache serves every cell an interrupted run
+// finished. cmd/reproduce and the per-figure tools
 // (stamp, rmstm, apps, netbench, clomptm) all register the same flags and
 // funnel them through Setup, so a knob added here reaches every binary.
 package runopts
@@ -20,7 +21,6 @@ import (
 	"tsxhpc/internal/experiments"
 	"tsxhpc/internal/faults"
 	"tsxhpc/internal/htm"
-	"tsxhpc/internal/journal"
 	"tsxhpc/internal/memo"
 	"tsxhpc/internal/probe"
 	"tsxhpc/internal/runner"
@@ -33,18 +33,6 @@ const DefaultCacheDir = ".memo-cache"
 
 // CacheOff is the -cache value that disables the persistent cache.
 const CacheOff = "off"
-
-// JournalAuto is the -journal value that derives ".<tool>.journal" in the
-// working directory; JournalOff disables checkpointing (as does "", the zero
-// value, so in-process test runs journal nothing unless they opt in).
-const (
-	JournalAuto = "auto"
-	JournalOff  = "off"
-)
-
-// DefaultRetries is the per-cell transient retry budget when -retries is not
-// given.
-const DefaultRetries = 3
 
 // DefaultQuarantine caps quarantined cells per sweep: past it the run counts
 // as a total failure rather than a degraded success.
@@ -82,26 +70,12 @@ type Options struct {
 	// else off).
 	StallCycles uint64
 
-	// Retries is the per-cell transient retry budget for supervised sweeps
-	// (flag default DefaultRetries; the zero value means no retries, which
-	// keeps in-process test runs strictly fail-fast).
-	Retries int
 	// Quarantine is the maximum quarantined cells before the sweep counts as
 	// a total failure instead of a degraded success (flag default
 	// DefaultQuarantine; 0 means any quarantine fails the run).
 	Quarantine int
-	// Journal selects the progress-journal path: JournalAuto derives
-	// ".<tool>.journal", JournalOff or "" (the zero value) disables.
-	Journal string
-	// Resume replays completed units from an existing journal instead of
-	// re-running them.
-	Resume bool
-	// JobChaosSeed enables deterministic job-level fault injection when
-	// JobChaosSet (flaky-host transient failures; see faults.JobChaos).
-	JobChaosSeed int64
-	JobChaosSet  bool
 	// Poison is a comma-separated list of cell-key prefixes that fail
-	// deterministically on every attempt (the injected quarantine case).
+	// before their store probe (the injected quarantine case).
 	Poison string
 
 	// Metrics arms the probe layer (internal/probe) on every simulated
@@ -131,12 +105,8 @@ func Register(fs *flag.FlagSet, o *Options) {
 	fs.Int64Var(&o.ChaosSeed, "chaos", 0, "enable deterministic fault injection with this seed (same seed, same output)")
 	fs.Uint64Var(&o.MaxCycles, "maxcycles", 0, "virtual-cycle budget per simulated run (0: unlimited)")
 	fs.Uint64Var(&o.StallCycles, "stallcycles", 0, "virtual cycles without progress before a run is declared livelocked (0: chaos default with -chaos, else off)")
-	fs.IntVar(&o.Retries, "retries", DefaultRetries, "transient retry budget per simulation cell (deterministic failures are quarantined, never retried)")
 	fs.IntVar(&o.Quarantine, "quarantine", DefaultQuarantine, "max quarantined cells before the sweep counts as a total failure")
-	fs.StringVar(&o.Journal, "journal", JournalAuto, `progress-journal path for checkpoint/resume ("auto" derives one per tool; "off" disables)`)
-	fs.BoolVar(&o.Resume, "resume", false, "resume an interrupted run from its progress journal, replaying completed units byte-identically")
-	fs.Int64Var(&o.JobChaosSeed, "jobchaos", 0, "inject deterministic job-level faults (flaky-host transient failures) with this seed")
-	fs.StringVar(&o.Poison, "poison", "", "comma-separated cell-key prefixes that fail deterministically every attempt (exercises quarantine)")
+	fs.StringVar(&o.Poison, "poison", "", "comma-separated cell-key prefixes that fail deterministically (exercises quarantine)")
 	fs.BoolVar(&o.Metrics, "metrics", false, "arm the probe layer (abort anatomy, virtual-time phases, L1 events) and write a metrics sidecar after the run")
 	fs.StringVar(&o.MetricsOut, "metricsout", "", "metrics sidecar path (implies -metrics; default METRICS_<tool>.json)")
 	fs.StringVar(&o.TracePath, "trace", "", "write a Chrome trace-event JSON file of per-thread transactional spans to this path")
@@ -183,15 +153,12 @@ func ValidateLayout(name string) error {
 	return err
 }
 
-// Finish records flag presence (seed flags where 0 is a valid seed) and
+// Finish records flag presence (-chaos, where seed 0 is valid) and
 // resolves flag implications (-metricsout implies -metrics).
 func (o *Options) Finish(fs *flag.FlagSet) {
 	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "chaos":
+		if f.Name == "chaos" {
 			o.ChaosSet = true
-		case "jobchaos":
-			o.JobChaosSet = true
 		}
 	})
 	if o.MetricsOut != "" {
@@ -223,108 +190,42 @@ func (o *Options) Plan() sim.FaultPlan {
 	return faults.Chaos(o.ChaosSeed)
 }
 
-// JobPlan returns the deterministic job-level fault plan -jobchaos/-poison
-// select (zero plan when both are off).
-func (o *Options) JobPlan() faults.JobPlan {
-	var p faults.JobPlan
-	if o.JobChaosSet {
-		p = faults.JobChaos(o.JobChaosSeed)
-	}
+// ArmPoison installs the -poison hook on e: a cell whose key starts with one
+// of the listed prefixes fails before its store probe, so it is quarantined
+// even when the cache holds it. The note goes to warn (stderr by convention)
+// so stdout stays comparable with clean runs. No-op without -poison.
+func (o *Options) ArmPoison(e *runner.Engine, warn io.Writer) {
+	var prefixes []string
 	for _, pre := range strings.Split(o.Poison, ",") {
 		if pre = strings.TrimSpace(pre); pre != "" {
-			p.Poison = append(p.Poison, pre)
+			prefixes = append(prefixes, pre)
 		}
 	}
-	return p
-}
-
-// Supervise installs the retry/quarantine policy on e, wiring in the job
-// fault plan when one is armed. The backoff seed mixes the chaos and jobchaos
-// seeds so a fault scenario reproduces its whole supervision history, and the
-// note goes to warn (stderr by convention) so injected-fault runs keep stdout
-// byte-identical to clean ones.
-func (o *Options) Supervise(e *runner.Engine, warn io.Writer) {
-	pol := runner.DefaultRetryPolicy(o.JobChaosSeed*31+o.ChaosSeed, o.Retries)
-	if plan := o.JobPlan(); plan.Enabled() {
-		pol.Inject = plan.Check
-		fmt.Fprintf(warn, "jobchaos: job-level fault injection enabled (seed %d, poison %q)\n", plan.Seed, plan.Poison)
-	}
-	e.Supervise(pol)
-}
-
-// JournalPath resolves the -journal flag for tool; "" means checkpointing is
-// off.
-func (o *Options) JournalPath(tool string) string {
-	switch o.Journal {
-	case "", JournalOff:
-		return ""
-	case JournalAuto:
-		return "." + tool + ".journal"
-	}
-	return o.Journal
-}
-
-// OpenJournal opens (or resumes) tool's progress journal and returns it with
-// the map of already-completed units ready to replay. The journal identity is
-// the tool name, the model fingerprint (covering simulator code, cost model,
-// and the armed fault plan — call after Setup), and extra for any further
-// output-affecting flags; a journal from a different identity never resumes.
-// Journal problems degrade to running without checkpointing, with a note on
-// warn — never to a failed run.
-func (o *Options) OpenJournal(tool, extra string, warn io.Writer) (*journal.Journal, map[string][]byte) {
-	path := o.JournalPath(tool)
-	if path == "" {
-		return nil, nil
-	}
-	identity := tool
-	if fp, err := memo.ModelFingerprint(); err == nil {
-		identity += "|" + fp
-	} else {
-		identity += "|no-fingerprint"
-	}
-	if extra != "" {
-		identity += "|" + extra
-	}
-	j, entries, err := journal.Open(path, identity, o.Resume)
-	if err != nil {
-		fmt.Fprintf(warn, "journal disabled: %v\n", err)
-		return nil, nil
-	}
-	if note := j.Note(); note != "" {
-		fmt.Fprintf(warn, "journal: %s\n", note)
-	}
-	if len(entries) > 0 {
-		fmt.Fprintf(warn, "journal: resuming %d completed unit(s) from %s\n", len(entries), path)
-	}
-	return j, journal.Entries(entries)
-}
-
-// ReportSupervision writes the deterministic retry/quarantine history to w
-// (stderr by convention: supervision is diagnostics, stdout stays
-// byte-identical). Silent when nothing failed — supervision is invisible on
-// the happy path.
-func ReportSupervision(w io.Writer, e *runner.Engine) {
-	reps := e.JobReports()
-	if len(reps) == 0 {
+	if len(prefixes) == 0 {
 		return
 	}
-	for _, r := range reps {
-		for _, a := range r.Attempts {
-			if a.Retried {
-				fmt.Fprintf(w, "supervise: %s attempt %d failed [%s], retrying after %v\n", r.Key, a.Attempt, a.Class, a.Backoff)
-			} else {
-				fmt.Fprintf(w, "supervise: %s attempt %d failed [%s], giving up\n", r.Key, a.Attempt, a.Class)
+	fmt.Fprintf(warn, "poison: cells with key prefix %q fail deterministically\n", prefixes)
+	e.SetInject(func(k runner.Key) error {
+		for _, pre := range prefixes {
+			if strings.HasPrefix(string(k), pre) {
+				return fmt.Errorf("poisoned cell %s (-poison %s)", k, pre)
 			}
 		}
-		switch {
-		case r.Quarantined:
-			fmt.Fprintf(w, "supervise: %s quarantined (deterministic failure; not retried)\n", r.Key)
-		case r.FinalClass == "":
-			fmt.Fprintf(w, "supervise: %s recovered after %d failed attempt(s)\n", r.Key, len(r.Attempts))
-		}
+		return nil
+	})
+}
+
+// ReportSupervision lists the quarantined cells on w (stderr by convention:
+// it is diagnostics, stdout stays byte-identical). Silent when nothing
+// failed.
+func ReportSupervision(w io.Writer, e *runner.Engine) {
+	q := e.Quarantined()
+	for _, k := range q {
+		fmt.Fprintf(w, "supervise: %s quarantined\n", k)
 	}
-	st := e.Stats()
-	fmt.Fprintf(w, "supervise: totals: %d retries, %d quarantined\n", st.Retries, st.Quarantined)
+	if len(q) > 0 {
+		fmt.Fprintf(w, "supervise: %d cell(s) quarantined\n", len(q))
+	}
 }
 
 // EffectiveStallCycles resolves the livelock-watchdog window: an explicit
@@ -362,7 +263,7 @@ func (o *Options) Setup(warn io.Writer) (suite *experiments.Suite, store *memo.S
 		cleanup = func() { sim.SetRunDefaults(sim.RunDefaults{}) }
 	}
 	suite = experiments.NewSuite(o.Parallel)
-	o.Supervise(suite.E, warn)
+	o.ArmPoison(suite.E, warn)
 	if o.ProbesArmed() && o.CacheDir() != "" {
 		// A cache-served cell never simulates, so it registers no probe
 		// sources and its counters would silently vanish from the sidecar;

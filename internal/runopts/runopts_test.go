@@ -175,7 +175,7 @@ func TestObservabilitySidecars(t *testing.T) {
 	dir := t.TempDir()
 	mpath := filepath.Join(dir, "metrics.json")
 	tpath := filepath.Join(dir, "trace.json")
-	o, err := parse(t, "-metricsout", mpath, "-trace", tpath, "-cache", dir+"/cache", "-journal", "off")
+	o, err := parse(t, "-metricsout", mpath, "-trace", tpath, "-cache", dir+"/cache")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,150 +1,91 @@
 package runopts
 
 import (
-	"errors"
-	"os"
-	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
-	"tsxhpc/internal/faults"
 	"tsxhpc/internal/runner"
 )
 
 func TestSupervisionFlagParsing(t *testing.T) {
-	o, err := parse(t, "-retries", "5", "-quarantine", "2", "-jobchaos", "0", "-poison", "stamp/bayes, net/echo")
+	o, err := parse(t, "-quarantine", "2", "-poison", "stamp/bayes, net/echo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Retries != 5 || o.Quarantine != 2 {
-		t.Fatalf("retries/quarantine = %d/%d", o.Retries, o.Quarantine)
-	}
-	if !o.JobChaosSet {
-		t.Fatal("JobChaosSet false for -jobchaos 0 (seed 0 is valid)")
-	}
-	p := o.JobPlan()
-	if !p.Enabled() || len(p.Poison) != 2 || p.Poison[1] != "net/echo" {
-		t.Fatalf("plan = %+v", p)
+	if o.Quarantine != 2 || o.Poison != "stamp/bayes, net/echo" {
+		t.Fatalf("quarantine/poison = %d/%q", o.Quarantine, o.Poison)
 	}
 
 	o, err = parse(t)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Retries != DefaultRetries || o.Quarantine != DefaultQuarantine || o.Journal != JournalAuto {
+	if o.Quarantine != DefaultQuarantine || o.Poison != "" {
 		t.Fatalf("defaults = %+v", o)
 	}
-	if o.JobChaosSet || o.JobPlan().Enabled() {
-		t.Fatal("job faults armed without -jobchaos/-poison")
-	}
-}
 
-func TestJournalPathResolution(t *testing.T) {
-	cases := []struct {
-		journal, want string
-	}{
-		{JournalAuto, ".reproduce.journal"},
-		{JournalOff, ""},
-		{"", ""}, // zero value: in-process tests journal nothing
-		{"/tmp/x.journal", "/tmp/x.journal"},
-	}
-	for _, tc := range cases {
-		o := Options{Journal: tc.journal}
-		if got := o.JournalPath("reproduce"); got != tc.want {
-			t.Errorf("JournalPath(%q) = %q, want %q", tc.journal, got, tc.want)
+	// Resume is a rerun against the same -cache; the retry, journal and
+	// job-chaos flags no longer exist.
+	for _, gone := range []string{"-retries=3", "-journal=off", "-resume", "-jobchaos=1"} {
+		if _, err := parse(t, gone); err == nil {
+			t.Errorf("%s parsed; want an unknown-flag error", gone)
 		}
 	}
 }
 
-// TestSuperviseWiresPlanAndSeed: an armed plan reaches the engine's Inject
-// hook and poisoned cells come back as quarantined JobErrors; the jobchaos
-// note lands on warn, not stdout.
-func TestSuperviseWiresPlanAndSeed(t *testing.T) {
-	o := Options{Retries: 2, JobChaosSet: true, JobChaosSeed: 9, Poison: "bad/"}
+// TestArmPoison: each listed prefix fails its cells before they run, the
+// failed cells are quarantined, other cells run normally, and the note lands
+// on warn, not stdout. Without -poison no hook is installed.
+func TestArmPoison(t *testing.T) {
+	o := Options{Poison: "bad/, worse/"}
 	var warn strings.Builder
 	e := runner.New(2)
-	o.Supervise(e, &warn)
-	if !strings.Contains(warn.String(), "jobchaos:") {
+	o.ArmPoison(e, &warn)
+	if !strings.Contains(warn.String(), `poison: cells with key prefix ["bad/" "worse/"]`) {
 		t.Fatalf("warn = %q", warn.String())
 	}
-	_, err := runner.Do(e, "bad/cell", func() (int, error) { return 1, nil })
-	var je *runner.JobError
-	if !errors.As(err, &je) || je.Class != runner.ClassDeterministic {
-		t.Fatalf("poisoned cell: %v", err)
+	fn := func() (int, error) { return 7, nil }
+	for _, k := range []runner.Key{"bad/cell", "worse/cell"} {
+		if _, err := runner.Do(e, k, fn); err == nil || !strings.Contains(err.Error(), "poisoned cell "+string(k)) {
+			t.Fatalf("%s: err = %v", k, err)
+		}
 	}
-	var jf *faults.JobFault
-	if !errors.As(err, &jf) {
-		t.Fatalf("injected fault type lost: %v", err)
-	}
-	if v, err := runner.Do(e, "good/cell", func() (int, error) { return 7, nil }); err != nil || v != 7 {
+	if v, err := runner.Do(e, "good/cell", fn); err != nil || v != 7 {
 		t.Fatalf("healthy cell: %d, %v", v, err)
 	}
-	if q := e.Quarantined(); len(q) != 1 || q[0] != "bad/cell" {
+	if q := e.Quarantined(); !reflect.DeepEqual(q, []runner.Key{"bad/cell", "worse/cell"}) {
 		t.Fatalf("quarantined = %v", q)
 	}
-}
-
-// TestOpenJournalRoundTrip: OpenJournal writes through the tool identity, a
-// second resume open replays completed units, and a flag change (different
-// extra) refuses the old progress.
-func TestOpenJournalRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.journal")
-	var warn strings.Builder
-
-	o := Options{Journal: path}
-	j, done := o.OpenJournal("reproduce", "only=E1", &warn)
-	if j == nil || done != nil {
-		t.Fatalf("fresh open: j=%v done=%v (%s)", j, done, warn.String())
+	if st := e.Stats(); st.Executed != 1 || st.Quarantined != 2 {
+		t.Fatalf("stats = %+v, want 1 executed, 2 quarantined", st)
 	}
-	if err := j.Record("E1", []byte("section body")); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	o.Resume = true
-	j2, done := o.OpenJournal("reproduce", "only=E1", &warn)
-	if j2 == nil || string(done["E1"]) != "section body" {
-		t.Fatalf("resume: done=%v (%s)", done, warn.String())
-	}
-	j2.Close()
 
 	warn.Reset()
-	j3, done := o.OpenJournal("reproduce", "only=E1,E2", &warn)
-	if j3 == nil || done != nil || !strings.Contains(warn.String(), "different run") {
-		t.Fatalf("changed flags resumed anyway: done=%v warn=%q", done, warn.String())
-	}
-	j3.Close()
-
-	// Disabled journal: no file, no journal, no warning.
-	warn.Reset()
-	off := Options{}
-	if j, done := off.OpenJournal("reproduce", "", &warn); j != nil || done != nil || warn.Len() != 0 {
-		t.Fatalf("zero-value options opened a journal: %v %v %q", j, done, warn.String())
-	}
-	if _, err := os.Stat(".reproduce.journal"); !os.IsNotExist(err) {
-		t.Fatalf("stray journal file: %v", err)
+	clean := runner.New(1)
+	(&Options{Poison: " , "}).ArmPoison(clean, &warn)
+	if _, err := runner.Do(clean, "bad/cell", fn); err != nil || warn.Len() != 0 {
+		t.Fatalf("blank -poison armed a hook: err=%v warn=%q", err, warn.String())
 	}
 }
 
-// TestReportSupervision: silent on a clean run; failures render the sorted
-// per-attempt history with totals.
+// TestReportSupervision: silent on a clean run; failures list the sorted
+// quarantined cells with a total.
 func TestReportSupervision(t *testing.T) {
 	e := runner.New(1)
-	o := Options{Retries: 1, JobChaosSet: false, Poison: "dead/"}
-	o.Supervise(e, &strings.Builder{})
+	o := Options{Poison: "dead/"}
+	o.ArmPoison(e, &strings.Builder{})
 	var out strings.Builder
 	ReportSupervision(&out, e)
 	if out.Len() != 0 {
 		t.Fatalf("clean engine reported: %q", out.String())
 	}
+	runner.Do(e, "dead/y", func() (int, error) { return 0, nil })
 	runner.Do(e, "dead/x", func() (int, error) { return 0, nil })
 	runner.Do(e, "ok/x", func() (int, error) { return 1, nil })
 	ReportSupervision(&out, e)
-	s := out.String()
-	for _, want := range []string{"supervise: dead/x attempt 1 failed [deterministic], giving up", "quarantined (deterministic failure", "totals: 0 retries, 1 quarantined"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("report %q missing %q", s, want)
-		}
+	want := "supervise: dead/x quarantined\nsupervise: dead/y quarantined\nsupervise: 2 cell(s) quarantined\n"
+	if out.String() != want {
+		t.Fatalf("report = %q, want %q", out.String(), want)
 	}
 }

@@ -67,12 +67,6 @@ func (e *StallError) Error() string {
 	return b.String()
 }
 
-// JobFailureClass classifies a stall for the runner's supervision layer
-// (structural contract, see runner.Classify): every simulated machine is a
-// closed deterministic system, so a stall is a pure function of the cell and
-// retrying only reproduces it — quarantine, don't retry.
-func (e *StallError) JobFailureClass() string { return "deterministic" }
-
 func stateName(s ctxState) string {
 	switch s {
 	case ctxRunnable:

@@ -41,12 +41,12 @@ if [ "$events" -eq 0 ]; then
   exit 1
 fi
 
-# Supervision hygiene: with fault injection off, the supervisor must be
-# invisible — a nonzero retry or quarantine count here means real cells are
-# failing (and being silently papered over by retries) on a healthy run.
-if ! jq -e '.retries == 0 and .quarantined == 0' "$fresh_json" >/dev/null; then
-  echo "bench ratchet: FAILED — faults-off run reported retries/quarantines:" >&2
-  jq '{retries, quarantined}' "$fresh_json" >&2
+# Supervision hygiene: with fault injection off, no cell may fail — a
+# nonzero quarantine count here means real cells are failing on a healthy
+# run while the rest of the sweep carries on without them.
+if ! jq -e '.quarantined == 0' "$fresh_json" >/dev/null; then
+  echo "bench ratchet: FAILED — faults-off run quarantined cells:" >&2
+  jq '{quarantined}' "$fresh_json" >&2
   exit 1
 fi
 
