@@ -26,14 +26,10 @@ func main() {
 	flag.Parse()
 	o.Finish(flag.CommandLine)
 
-	var xs []int
-	for _, f := range strings.Split(*scatters, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			fmt.Println("bad scatter count:", f)
-			return
-		}
-		xs = append(xs, n)
+	xs, err := parseScatters(*scatters)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "clomptm:", err)
+		os.Exit(2)
 	}
 	cfg := clomp.DefaultConfig()
 	cfg.CrossPartitionPct = *cross
@@ -57,4 +53,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// parseScatters parses the -scatters list: comma-separated positive
+// integers, with whitespace around each allowed.
+func parseScatters(list string) ([]int, error) {
+	var xs []int
+	for _, f := range strings.Split(list, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("-scatters: bad scatter count %q (want a positive integer)", f)
+		}
+		xs = append(xs, n)
+	}
+	return xs, nil
 }

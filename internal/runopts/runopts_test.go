@@ -221,7 +221,7 @@ func TestObservabilitySidecars(t *testing.T) {
 	if rep.GoVersion == "" {
 		t.Error("go_version empty")
 	}
-	if rep.Scheduler != "runtime-coro" && rep.Scheduler != "channel" {
+	if rep.Scheduler != "runtime-coro" && rep.Scheduler != "iter-pull" {
 		t.Errorf("scheduler = %q", rep.Scheduler)
 	}
 	found := false

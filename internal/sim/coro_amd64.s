@@ -1,4 +1,4 @@
-//go:build amd64 && !nocorolink
+//go:build amd64 && !race && !nocorolink
 
 #include "textflag.h"
 

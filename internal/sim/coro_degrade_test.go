@@ -1,17 +1,36 @@
-//go:build amd64 && !nocorolink
-
 package sim
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
+
+// onBothBackends runs work once on the runtime-coroutine slot and once on
+// the iter.Pull slot, forcing the latter by setting coroDegraded as a failed
+// discovery or self-test does at init. Results must be identical field for
+// field: the backend changes host-side switch cost only. Not parallel-safe:
+// it flips the process-wide backend flag, so no other machine may be
+// mid-region (sim's tests do not use t.Parallel). Skips where the process
+// has only the iter.Pull slot (race, nocorolink, non-amd64, or degraded at
+// init), since there is nothing to compare.
+func onBothBackends[T any](t *testing.T, work func() T) (fast, pull T) {
+	t.Helper()
+	if !coroFastBuild || coroDegraded {
+		t.Skip("only the iter.Pull backend is available in this process")
+	}
+	fast = work()
+	coroDegraded = true
+	defer func() { coroDegraded = false }()
+	return fast, work()
+}
 
 // degradedWorkload is a switch-heavy region: shared-line traffic plus seeded
 // compute keeps the scheduler interleaving all eight contexts, so every stack
 // switch goes through whichever coroutine backend is live.
-func degradedWorkload() Result {
-	m := New(DefaultConfig())
+func degradedWorkload(m *Machine) Result {
 	a := m.Mem.AllocLine(8)
 	return m.Run(8, func(c *Context) {
 		for i := 0; i < 100; i++ {
@@ -22,44 +41,165 @@ func degradedWorkload() Result {
 	})
 }
 
-// TestDegradedBackendIdenticalResults is the graceful-degradation contract:
-// forcing the channel backend (what a failed PC discovery or TSXHPC_NOCORO=1
-// does at init) changes host-side switch latency only — the simulated Result
-// is identical field for field. Not parallel-safe: it flips the process-wide
-// backend flag, so no other machine may be mid-region (sim's tests do not use
-// t.Parallel).
+// TestDegradedBackendIdenticalResults is the graceful-degradation contract
+// on a plain switch-heavy region, and checks the backend report follows the
+// flip.
 func TestDegradedBackendIdenticalResults(t *testing.T) {
-	if coroDegraded {
-		t.Skip("process already degraded at init; fast path unavailable to compare")
+	var during string
+	fast, pull := onBothBackends(t, func() Result {
+		during = SchedulerBackend()
+		return degradedWorkload(New(DefaultConfig()))
+	})
+	if !reflect.DeepEqual(fast, pull) {
+		t.Fatalf("degraded scheduler changed simulated results:\nfast: %+v\npull: %+v", fast, pull)
 	}
-	fast := degradedWorkload()
-
-	coroDegraded = true
-	defer func() { coroDegraded = false }()
-	slow := degradedWorkload()
-
-	if !reflect.DeepEqual(fast, slow) {
-		t.Fatalf("degraded scheduler changed simulated results:\nfast: %+v\nslow: %+v", fast, slow)
+	if during != "iter-pull" {
+		t.Fatalf("SchedulerBackend() = %q while degraded, want \"iter-pull\"", during)
 	}
-	if got := SchedulerBackend(); got != "channel" {
-		t.Fatalf("SchedulerBackend() = %q while degraded, want \"channel\"", got)
+}
+
+// convoyOutcome is what a Block/Wake convoy leaves behind.
+type convoyOutcome struct {
+	Res     Result
+	Counter uint64
+	Blocks  int
+}
+
+// TestBackendsAgreeOnBlockWakeConvoy drives 64 contexts through a lock
+// handoff convoy: every release wakes the longest waiter directly, so most
+// switches are Block parks and Wake-driven resumptions spread across every
+// carrier's slot — the pattern that exercises the iter.Pull slot's
+// next/yield parity on slots other parties keep re-entering.
+func TestBackendsAgreeOnBlockWakeConvoy(t *testing.T) {
+	const threads, rounds = 64, 20
+	fast, pull := onBothBackends(t, func() convoyOutcome {
+		cfg := DefaultConfig()
+		cfg.Sockets, cfg.Cores, cfg.ThreadsPerCore = 2, 16, 2
+		m := New(cfg)
+		counter := m.Mem.AllocLine(8)
+		held, blocks := false, 0
+		var waiters []*Context
+		res := m.Run(threads, func(c *Context) {
+			for r := 0; r < rounds; r++ {
+				if held {
+					waiters = append(waiters, c)
+					blocks++
+					c.Block() // woken by the releaser: the lock is handed over
+				} else {
+					held = true
+				}
+				c.Store(counter, c.Load(counter)+1)
+				c.Compute(uint64(c.Rand.Int63n(50)))
+				if len(waiters) > 0 {
+					next := waiters[0]
+					waiters = waiters[1:]
+					c.Wake(next, c.Now())
+				} else {
+					held = false
+				}
+				c.Compute(uint64(c.Rand.Int63n(200)))
+			}
+		})
+		return convoyOutcome{res, m.Mem.ReadRaw(counter), blocks}
+	})
+	if !reflect.DeepEqual(fast, pull) {
+		t.Fatalf("backends disagree on the convoy:\nfast: %+v\npull: %+v", fast, pull)
+	}
+	if fast.Counter != threads*rounds {
+		t.Fatalf("counter = %d, want %d", fast.Counter, threads*rounds)
+	}
+	if fast.Blocks < threads*rounds/2 {
+		t.Fatalf("only %d of %d acquisitions blocked; the workload is not a convoy", fast.Blocks, threads*rounds)
+	}
+}
+
+// poisonOutcome is what a region ended by a fatal panic leaves behind.
+type poisonOutcome struct {
+	Recovered any
+	Unwound   map[int]int
+	Leaked    int
+}
+
+// TestBackendsAgreeOnFatalPanic ends a region with a fatal panic while the
+// other contexts sit parked both mid-batch and in Block. On both backends
+// the poison unwind must resume each survivor once (running its defers),
+// the drain must retire every carrier goroutine, and Run must re-raise the
+// very value the body panicked with.
+func TestBackendsAgreeOnFatalPanic(t *testing.T) {
+	boom := errors.New("boom")
+	fast, pull := onBothBackends(t, func() poisonOutcome {
+		before := runtime.NumGoroutine()
+		m := New(DefaultConfig())
+		out := poisonOutcome{Unwound: map[int]int{}}
+		func() {
+			defer func() { out.Recovered = recover() }()
+			m.Run(8, func(c *Context) {
+				defer func() { out.Unwound[c.ID()]++ }()
+				switch {
+				case c.ID() == 7:
+					c.Compute(5_000) // let the others park first
+					panic(boom)
+				case c.ID()%2 == 0:
+					c.Block() // nobody wakes these
+				default:
+					for {
+						c.Compute(400) // parks on every yield
+					}
+				}
+			})
+		}()
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			runtime.Gosched()
+			time.Sleep(time.Millisecond)
+		}
+		out.Leaked = runtime.NumGoroutine() - before
+		return out
+	})
+	if !reflect.DeepEqual(fast, pull) {
+		t.Fatalf("backends disagree on the fatal panic:\nfast: %+v\npull: %+v", fast, pull)
+	}
+	if fast.Recovered != boom {
+		t.Fatalf("Run re-raised %v, want the original panic value", fast.Recovered)
+	}
+	for id := 0; id < 8; id++ {
+		if fast.Unwound[id] != 1 {
+			t.Fatalf("context %d ran its defers %d times, want 1", id, fast.Unwound[id])
+		}
+	}
+	if fast.Leaked > 0 {
+		t.Fatalf("%d carrier goroutines leaked after the poison unwind", fast.Leaked)
+	}
+}
+
+// TestBackendsAgreeOnConsecutiveRuns reuses one Machine for two regions of
+// different widths: the second region's carriers come from recycled
+// Context records and fresh slots, which must not see stale parity or
+// parking state from the first region's drain.
+func TestBackendsAgreeOnConsecutiveRuns(t *testing.T) {
+	fast, pull := onBothBackends(t, func() [2]Result {
+		m := New(DefaultConfig())
+		first := degradedWorkload(m)
+		a := m.Mem.AllocLine(8)
+		second := m.Run(3, func(c *Context) {
+			for i := 0; i < 50; i++ {
+				c.Store(a, c.Load(a)+uint64(c.ID()))
+				c.Compute(uint64(c.Rand.Int63n(25)))
+			}
+		})
+		return [2]Result{first, second}
+	})
+	if !reflect.DeepEqual(fast, pull) {
+		t.Fatalf("backends disagree across consecutive runs:\nfast: %+v\npull: %+v", fast, pull)
 	}
 }
 
 func TestSchedulerBackendReporting(t *testing.T) {
-	if coroDegraded {
-		if got := SchedulerBackend(); got != "channel" {
-			t.Fatalf("SchedulerBackend() = %q, want \"channel\"", got)
-		}
-		if ok, reason := SchedulerDegraded(); !ok || reason == "" {
-			t.Fatalf("SchedulerDegraded() = %v, %q", ok, reason)
-		}
-		return
+	want := "runtime-coro"
+	if !coroFastBuild || coroDegraded {
+		want = "iter-pull"
 	}
-	if got := SchedulerBackend(); got != "runtime-coro" {
-		t.Fatalf("SchedulerBackend() = %q, want \"runtime-coro\"", got)
-	}
-	if ok, _ := SchedulerDegraded(); ok {
-		t.Fatal("SchedulerDegraded() reports degradation on the healthy path")
+	if got := SchedulerBackend(); got != want {
+		t.Fatalf("SchedulerBackend() = %q, want %q", got, want)
 	}
 }

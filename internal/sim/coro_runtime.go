@@ -1,4 +1,4 @@
-//go:build amd64 && !nocorolink
+//go:build amd64 && !race && !nocorolink
 
 package sim
 
@@ -12,19 +12,19 @@ package sim
 // runtime.FuncForPC — so coroInit discovers the PCs once at startup by
 // walking the text segment, and callcoro (coro_amd64.s) makes an
 // ABIInternal call to a raw PC. The thunk is the only
-// architecture-specific piece; other architectures use the channel backend
-// (coro_chan.go) directly.
+// architecture-specific piece; other architectures use the iter.Pull backend
+// (coro_pull.go) directly. So do race builds: a raw switch carries no
+// happens-before edge for the detector, while iter.Pull annotates its own.
 //
 // The discovery is deliberately conservative: it walks function by function
 // from the base of the text segment (the runtime is always linked first),
 // and a one-shot self-test drives a full create/switch/exit round trip
 // through the discovered PCs before the scheduler trusts them. If a future
 // toolchain renames or removes the primitives, the process does not die:
-// coroInit degrades to the channel backend with a logged warning
+// coroInit degrades to the iter.Pull backend with a logged warning
 // (degradeCoro), the sweep completes with identical results, and the
 // nocorolink build tag remains the explicit opt-out while the thunk is
-// updated. TSXHPC_NOCORO=1 forces the same degradation for testing the
-// fallback on a healthy toolchain.
+// updated.
 
 import (
 	"fmt"
@@ -36,7 +36,7 @@ import (
 )
 
 // coroFastBuild reports whether this build links the runtime-coroutine fast
-// path (the channel backend remains available behind coroDegraded).
+// path (the iter.Pull backend remains available behind coroDegraded).
 const coroFastBuild = true
 
 var (
@@ -47,10 +47,6 @@ var (
 func init() { coroInit() }
 
 func coroInit() {
-	if os.Getenv("TSXHPC_NOCORO") == "1" {
-		degradeCoro("TSXHPC_NOCORO=1")
-		return
-	}
 	if err := discoverCoroPCs(); err != nil {
 		degradeCoro(err.Error())
 		return
@@ -58,6 +54,15 @@ func coroInit() {
 	if err := coroSelfTest(); err != nil {
 		degradeCoro(err.Error())
 	}
+}
+
+// degradeCoro records the fallback and warns once on stderr. Degradation is
+// a warning, not a panic: the portable backend produces identical simulated
+// results, so a massive sweep on a new toolchain completes slowly instead of
+// dying at startup.
+func degradeCoro(reason string) {
+	coroDegraded = true
+	os.Stderr.WriteString("sim: warning: " + reason + "; degrading to the portable iter.Pull scheduler (slower, results unchanged)\n")
 }
 
 // discoverCoroPCs walks the text segment for the two runtime entry points.
@@ -123,8 +128,8 @@ func coroSelfTest() (err error) {
 			err = fmt.Errorf("sim: coroutine self-test panicked: %v", p)
 		}
 	}()
-	// atomic: raw switches carry no happens-before edge for the race
-	// detector (see race_race.go), and this runs before any Machine exists.
+	// atomic: the switch under test is not yet trusted to hand control
+	// over, let alone to order memory.
 	var ran atomic.Bool
 	c := callNewcoro(newcoroPC, func(*coro) { ran.Store(true) })
 	callCoroswitch(coroswitchPC, c)
@@ -148,7 +153,7 @@ func callCoroswitch(pc uintptr, c *coro)
 // never-taken predictable branch on the healthy path.
 func newcoro(f func(*coro)) *coro {
 	if coroDegraded {
-		return chanNewcoro(f)
+		return pullNewcoro(f)
 	}
 	return callNewcoro(newcoroPC, f)
 }
@@ -156,7 +161,7 @@ func newcoro(f func(*coro)) *coro {
 // coroswitch releases the goroutine parked in c and parks the caller there.
 func coroswitch(c *coro) {
 	if coroDegraded {
-		chanCoroswitch(c)
+		pullCoroswitch(c)
 		return
 	}
 	callCoroswitch(coroswitchPC, c)

@@ -97,29 +97,22 @@ func (m *Machine) verifyPresence() error {
 			}
 		}
 	}
-	for si := range m.pres.shards {
-		sh := &m.pres.shards[si]
-		for i, k := range sh.keys {
-			if k == 0 {
-				continue
-			}
-			if m.pres.tab(k) != sh {
-				return &InvariantError{Point: "l1-presence",
-					Detail: fmt.Sprintf("line %#x resident in shard %d but hashes to another shard", k, si)}
-			}
-			var want uint64
-			for _, c := range m.caches {
-				tags := &c.tags[setOf(k)]
-				for w := range tags {
-					if tags[w] == k {
-						want |= 1 << uint(c.id)
-					}
+	for i, k := range m.pres.keys {
+		if k == 0 {
+			continue
+		}
+		var want uint64
+		for _, c := range m.caches {
+			tags := &c.tags[setOf(k)]
+			for w := range tags {
+				if tags[w] == k {
+					want |= 1 << uint(c.id)
 				}
 			}
-			if want != sh.vals[i] {
-				return &InvariantError{Point: "l1-presence",
-					Detail: fmt.Sprintf("presence directory entry for line %#x claims cores %#x, tags say %#x", k, sh.vals[i], want)}
-			}
+		}
+		if want != m.pres.vals[i] {
+			return &InvariantError{Point: "l1-presence",
+				Detail: fmt.Sprintf("presence directory entry for line %#x claims cores %#x, tags say %#x", k, m.pres.vals[i], want)}
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -160,4 +161,67 @@ func TestTxMarkTracking(t *testing.T) {
 			t.Error("marks survived ClearTxMarks")
 		}
 	})
+}
+
+// TestPresenceDirectoryAtScale fills every way of every L1 of a 64-core
+// machine with distinct lines: 32768 directory entries, past the 75% load
+// threshold of the table's 32K-slot starting size, so it grows once. Each
+// context then loads half of its neighbour's lines, evicting half of its own
+// (backward-shift deletes through the grown table) and leaving shared
+// entries with two core bits. The audit must stay clean throughout, and
+// FlushCaches must leave the directory empty.
+func TestPresenceDirectoryAtScale(t *testing.T) {
+	m := New(Config{Sockets: 8, Cores: 8, ThreadsPerCore: 1, Costs: DefaultCosts(), Seed: 1, Invariants: true})
+	const perCache = cacheSets * cacheWays
+	n := m.TotalCores()
+	// Contiguous lines hash almost collision-free, which would leave the
+	// deletes nothing to shift: each core's eight runs of cacheSets lines
+	// (one run fills one way of every set) sit at random distinct rows of a
+	// region twice the size needed.
+	rows := rand.New(rand.NewSource(1)).Perm(2 * n * cacheWays)
+	arr := m.Mem.AllocArray(2*n*perCache, LineSize)
+	line := func(core, k int) Addr {
+		return arr + Addr((rows[core*cacheWays+k/cacheSets]*cacheSets+k%cacheSets)*LineSize)
+	}
+	if got := len(m.pres.keys); got != 1<<15 {
+		t.Fatalf("directory starts with %d slots, want %d", got, 1<<15)
+	}
+
+	m.Run(n, func(c *Context) {
+		for k := 0; k < perCache; k++ {
+			c.Load(line(c.ID(), k))
+		}
+	})
+	if m.pres.n != n*perCache || len(m.pres.keys) != 1<<16 {
+		t.Fatalf("after the fill: %d entries in %d slots, want %d in %d (one growth)",
+			m.pres.n, len(m.pres.keys), n*perCache, 1<<16)
+	}
+	if err := m.VerifyCaches(); err != nil {
+		t.Fatalf("audit after the fill: %v", err)
+	}
+
+	m.Run(n, func(c *Context) {
+		for k := 0; k < perCache/2; k++ {
+			c.Load(line((c.ID()+1)%n, k))
+		}
+	})
+	if got, want := m.CacheStats().Evictions, uint64(n*perCache/2); got != want {
+		t.Fatalf("evictions = %d, want %d", got, want)
+	}
+	if err := m.VerifyCaches(); err != nil {
+		t.Fatalf("audit after the evictions: %v", err)
+	}
+
+	m.FlushCaches()
+	if m.pres.n != 0 {
+		t.Fatalf("directory holds %d entries after FlushCaches", m.pres.n)
+	}
+	for i, k := range m.pres.keys {
+		if k != 0 || m.pres.vals[i] != 0 {
+			t.Fatalf("slot %d holds line %#x (cores %#x) after FlushCaches", i, k, m.pres.vals[i])
+		}
+	}
+	if err := m.VerifyCaches(); err != nil {
+		t.Fatalf("audit after FlushCaches: %v", err)
+	}
 }

@@ -12,64 +12,24 @@ package sim
 // Layout mirrors the open-addressing tables in package htm: linear probing,
 // zero key = empty slot (line address 0 never occurs; simulated memory
 // reserves the first line), backward-shift deletion.
-//
-// presenceDir shards the directory by line address. One shard reproduces
-// the paper machine's single table exactly; larger topologies split lines
-// across up to 16 shards so the worst-case footprint (every way of every
-// cache valid, all lines distinct) is spread over tables that each stay
-// small enough to construct and grow cheaply — a 64-core machine no longer
-// allocates one multi-megabyte table up front, and a growth rehash touches
-// 1/16th of the resident lines. Shard selection is a pure function of the
-// line address, so sharding is invisible to the simulated schedule.
-type presenceDir struct {
-	shards []presenceTab
-	mask   uint64 // len(shards)-1; shard of a line is (line>>6) & mask
-}
-
-// init sizes the directory for a machine with totalCores cores: one shard
-// for the paper-scale machines (≤ 8 cores — bit-for-bit the old single
-// table), then one shard per 8 cores up to 16. Each shard starts at the
-// size that keeps the worst case under 25% load, capped so big topologies
-// lean on on-demand growth (host-side work, invisible to virtual time)
-// instead of a huge up-front allocation.
-func (p *presenceDir) init(totalCores int) {
-	nsh := 1
-	for nsh < totalCores/8 && nsh < 16 {
-		nsh *= 2
-	}
-	size := 1024
-	for size < totalCores*cacheSets*cacheWays*4/nsh && size < 1<<15 {
-		size *= 2
-	}
-	p.shards = make([]presenceTab, nsh)
-	p.mask = uint64(nsh - 1)
-	for i := range p.shards {
-		p.shards[i].init(size)
-	}
-}
-
-func (p *presenceDir) tab(line Addr) *presenceTab {
-	return &p.shards[uint64(line>>6)&p.mask]
-}
-
-func (p *presenceDir) get(line Addr) uint64    { return p.tab(line).get(line) }
-func (p *presenceDir) add(line Addr, core int) { p.tab(line).add(line, core) }
-func (p *presenceDir) drop(line Addr, core int) {
-	p.tab(line).drop(line, core)
-}
-
-// reset empties every shard (FlushCaches).
-func (p *presenceDir) reset() {
-	for i := range p.shards {
-		p.shards[i].reset()
-	}
-}
-
 type presenceTab struct {
 	keys  []Addr
 	vals  []uint64 // bitmask of core ids holding the line
 	n     int
 	shift uint // 64 - log2(len(keys))
+}
+
+// presenceSize is the directory's starting size for totalCores cores: the
+// size that keeps the worst case (every way of every cache valid, all lines
+// distinct) under 25% load, capped at 32K slots so big topologies lean on
+// on-demand growth (host-side work, invisible to virtual time) instead of a
+// huge up-front allocation.
+func presenceSize(totalCores int) int {
+	size := 1024
+	for size < totalCores*cacheSets*cacheWays*4 && size < 1<<15 {
+		size *= 2
+	}
+	return size
 }
 
 func (p *presenceTab) init(size int) {

@@ -29,7 +29,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"sync/atomic"
 )
@@ -208,10 +207,8 @@ type Machine struct {
 	caches []*Cache // one per core, backed by one contiguous slab
 	// pres is the machine-level line-presence directory (which cores hold
 	// each line); the coherence probe in Cache.access consults it to visit
-	// only caches that actually hold the line. It is sharded by line so
-	// large topologies neither pay one huge up-front table nor rehash
-	// everything on growth (presence.go).
-	pres presenceDir
+	// only caches that actually hold the line (presence.go).
+	pres presenceTab
 	// nCores and nSockets cache the resolved topology: nCores is the total
 	// core count (Sockets × per-socket Cores); the socket of core k is
 	// k / Cfg.Cores.
@@ -234,13 +231,11 @@ type Machine struct {
 	// path in maybeYield is one comparison with no emptiness branch).
 	qtopKey uint64
 	nLive   int // contexts that have not finished their body
-	// htNum/htDen/htMagic cache the HyperThread co-residency factor for
-	// charge, with ⌊2^64/den⌋+1 as the reciprocal for divide-free scaling
+	// htNum/htDen cache the HyperThread co-residency factor for charge
 	// (refreshed per region in attach, so cost edits after New are honored).
-	htNum   uint64
-	htDen   uint64
-	htMagic uint64
-	body    func(*Context)
+	htNum uint64
+	htDen uint64
+	body  func(*Context)
 	// dispParked is the coro in which Run's goroutine sits while simulated
 	// threads hold the core; a carrier switches to it to hand control back
 	// to the region driver (region completion, fatal panic, drain).
@@ -253,10 +248,7 @@ type Machine struct {
 	// carriers resumed at their finish park to exit their goroutines.
 	poisoned bool
 	draining bool
-	// racer is the sync object the race-build switch annotations release and
-	// acquire on (race_race.go); unused otherwise.
-	racer  int
-	events uint64 // total timed events, for throughput diagnostics
+	events   uint64 // total timed events, for throughput diagnostics
 
 	// probes is the observability state (counter set, virtual-time phase
 	// planes, trace ring), non-nil only when Config armed Metrics or
@@ -342,7 +334,7 @@ func NewE(cfg Config) (*Machine, error) {
 		cslab[i].socket = i / cfg.Cores
 		m.caches[i] = &cslab[i]
 	}
-	m.pres.init(m.nCores)
+	m.pres.init(presenceSize(m.nCores))
 	m.deadline = ^uint64(0)
 	m.armProbes()
 	if cfg.Faults != nil {
@@ -513,11 +505,6 @@ func (m *Machine) attach(n int) {
 	m.ctxs = m.ctxSlab[:n]
 	m.htNum = uint64(m.Costs.HTFactorNum)
 	m.htDen = uint64(m.Costs.HTFactorDen)
-	if m.htDen > 1 {
-		m.htMagic = ^uint64(0)/m.htDen + 1
-	} else {
-		m.htMagic = 0 // ⌊2^64/1⌋+1 overflows; charge falls back to the divide
-	}
 	m.nLive = n
 	for i, c := range m.ctxs {
 		slabCheckContext(c)
@@ -571,7 +558,6 @@ func (m *Machine) startCarrier(c *Context) {
 	body := m.body
 	c.exited = false
 	c.parkedIn = newcoro(func(*coro) {
-		m.raceAcquire()
 		normal := func() (ok bool) {
 			defer func() {
 				if p := recover(); p != nil {
@@ -591,7 +577,6 @@ func (m *Machine) startCarrier(c *Context) {
 			c.finishPark(m.dispParked)
 		}
 		c.exited = true
-		m.raceRelease()
 		// Returning exits the carrier goroutine via the runtime's coroexit,
 		// which releases whichever party is parked in this carrier's
 		// creation coro — the next link of the drain chain (see
@@ -605,9 +590,7 @@ func (m *Machine) startCarrier(c *Context) {
 func (m *Machine) resumeCtx(c *Context) {
 	co := c.parkedIn
 	m.dispParked = co
-	m.raceRelease()
 	coroswitch(co)
-	m.raceAcquire()
 }
 
 // poisonAll unwinds every carrier still parked at a scheduling point after a
@@ -703,11 +686,8 @@ type poisonSignal struct{}
 // poisoned while parked, the resumption unwinds the body via poisonSignal.
 func (c *Context) parkOn(co *coro) {
 	c.parkedIn = co
-	m := c.m
-	m.raceRelease()
 	coroswitch(co)
-	m.raceAcquire()
-	if m.poisoned {
+	if c.m.poisoned {
 		panic(poisonSignal{})
 	}
 }
@@ -717,11 +697,8 @@ func (c *Context) parkOn(co *coro) {
 // resumes the carrier so its goroutine can exit.
 func (c *Context) finishPark(co *coro) {
 	c.parkedIn = co
-	m := c.m
-	m.raceRelease()
 	coroswitch(co)
-	m.raceAcquire()
-	if !m.draining {
+	if !c.m.draining {
 		panic(fmt.Sprintf("sim: finished context t%d resumed outside the region drain", c.id))
 	}
 }
@@ -850,14 +827,7 @@ func (c *Context) charge(cyc uint64) {
 		cyc += h(c, cyc)
 	}
 	if s := c.sibling; s != nil && s.consumesCore() {
-		// cyc*num/den with den fixed per machine: a reciprocal multiply
-		// (exact for x < 2^32 — see New) replaces the hardware divide that
-		// would otherwise run on every HyperThread-co-resident event.
-		if x := cyc * m.htNum; x < 1<<32 && m.htMagic != 0 {
-			cyc, _ = bits.Mul64(x, m.htMagic)
-		} else {
-			cyc = x / m.htDen
-		}
+		cyc = cyc * m.htNum / m.htDen
 	}
 	before := c.clock
 	c.clock += cyc

@@ -70,8 +70,8 @@ func checkMetrics(path, requires string) {
 	if m.Tool == "" || m.GoVersion == "" {
 		fail("%s: tool and go_version must be non-empty (got %q, %q)", path, m.Tool, m.GoVersion)
 	}
-	if m.Scheduler != "runtime-coro" && m.Scheduler != "channel" {
-		fail("%s: scheduler = %q, want runtime-coro or channel", path, m.Scheduler)
+	if m.Scheduler != "runtime-coro" && m.Scheduler != "iter-pull" {
+		fail("%s: scheduler = %q, want runtime-coro or iter-pull", path, m.Scheduler)
 	}
 	if len(m.Counters) == 0 {
 		fail("%s: no counters (probes armed but nothing simulated?)", path)
