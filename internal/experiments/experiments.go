@@ -815,7 +815,8 @@ func (s *Suite) ScalingCurve() (*harness.Table, *harness.Table, error) {
 
 // modelAnatomyCell is one (HTM model, allocator layout) execution of the
 // model-anatomy kernel: the TSX runtime's raw counters plus the simulated
-// totals, gob-friendly so warm-cache runs replay the table byte-identically.
+// totals, plain exported data so warm-cache runs replay the table
+// byte-identically.
 type modelAnatomyCell struct {
 	Starts    uint64
 	Commits   uint64

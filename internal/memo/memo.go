@@ -12,11 +12,13 @@
 //     and knobs — and cycle budgets), and a fingerprint of the simulator
 //     code itself. Editing a cost table, the simulator, or the chaos seed
 //     moves the store to a fresh directory; stale hits are impossible.
-//   - Every entry is a versioned envelope (codec schema number plus a
-//     structural signature of the result type) wrapped in a CRC-checked,
-//     key-verified file. A truncated, bit-flipped, colliding, or
-//     schema-stale entry is reported as invalid — the engine recomputes and
-//     rewrites it — never decoded into a wrong value.
+//   - Every entry is a CRC-checked, key-verified file whose magic carries
+//     the codec schema number and whose payload is prefixed with a hash of
+//     the result type's structural signature. The payload is a binary
+//     encoding compiled once per result type (codec.go). A truncated,
+//     bit-flipped, colliding, schema-stale or reshaped-type entry is
+//     reported as invalid — the engine recomputes and rewrites it — never
+//     decoded into a wrong value.
 //   - Writes are write-temp-then-rename, so readers (including concurrent
 //     processes sharing the directory) only ever observe complete entries.
 package memo
@@ -25,7 +27,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -40,9 +41,9 @@ import (
 )
 
 // schemaVersion is the entry codec version. Bump it on any incompatible
-// change to the envelope or file layout; old entries then read as invalid
+// change to the codec or file layout; old entries then read as invalid
 // and are rewritten.
-const schemaVersion = 1
+const schemaVersion = 2
 
 // magic marks a store entry file; a file without it is invalid outright.
 var magic = [8]byte{'T', 'S', 'X', 'M', 'E', 'M', 'O', schemaVersion}
@@ -115,22 +116,11 @@ func (s *Store) path(key runner.Key) string {
 	return filepath.Join(s.dir, hex.EncodeToString(h[:])[:40]+".memo")
 }
 
-// envelope is the versioned codec wrapper around every stored result.
-type envelope struct {
-	// Schema is the codec version the entry was written with.
-	Schema int
-	// Type is the structural signature of the result's Go type (TypeSig):
-	// adding, removing, or retyping a field of any result struct changes it,
-	// so decoding into a reshaped type is refused rather than fudged by
-	// gob's field matching.
-	Type string
-	// Payload is the gob encoding of the result value.
-	Payload []byte
-}
-
 // Load implements runner.Store: it decodes the entry for key into out
-// (a *T) after verifying magic, stored key, checksum, schema, and type
-// signature. Any verification failure is StoreInvalid — the engine
+// (a *T) after verifying magic, stored key, checksum, and the hash of T's
+// type signature. The value is decoded into a fresh T and stored into out
+// only when the whole payload decodes, so out never holds a partial or
+// merged value. Any verification failure is StoreInvalid — the engine
 // recomputes and rewrites. A missing entry is StoreMiss.
 func (s *Store) Load(key runner.Key, out any) runner.LoadStatus {
 	data, err := os.ReadFile(s.path(key))
@@ -142,37 +132,42 @@ func (s *Store) Load(key runner.Key, out any) runner.LoadStatus {
 		s.invalid.Add(1)
 		return runner.StoreInvalid
 	}
-	env, ok := openEntry(data, key)
-	if !ok {
-		s.invalid.Add(1)
-		return runner.StoreInvalid
-	}
 	rv := reflect.ValueOf(out)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		s.invalid.Add(1)
 		return runner.StoreInvalid
 	}
-	if env.Schema != schemaVersion || env.Type != TypeSig(rv.Elem().Type()) {
+	p, err := planFor(rv.Elem().Type())
+	if err != nil {
 		s.invalid.Add(1)
 		return runner.StoreInvalid
 	}
-	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(out); err != nil {
+	payload, ok := openEntry(data, key, p.hash)
+	if !ok {
 		s.invalid.Add(1)
 		return runner.StoreInvalid
 	}
+	v, ok := p.decode(payload)
+	if !ok {
+		s.invalid.Add(1)
+		return runner.StoreInvalid
+	}
+	rv.Elem().Set(v)
 	s.hits.Add(1)
 	return runner.StoreHit
 }
 
 // Save implements runner.Store: it persists v under key atomically
-// (write-temp-then-rename). Errors are counted and returned; the engine
-// treats them as best-effort.
+// (write-temp-then-rename). A value the codec cannot round-trip (see
+// codec.go) is refused before any file is written. Errors are counted and
+// returned; the engine treats them as best-effort.
 func (s *Store) Save(key runner.Key, v any) error {
-	data, err := sealEntry(key, v)
+	p, err := planFor(reflect.TypeOf(v))
 	if err != nil {
 		s.saveErrors.Add(1)
 		return err
 	}
+	data := sealEntry(key, p, reflect.ValueOf(v))
 	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
 		s.saveErrors.Add(1)
@@ -197,58 +192,50 @@ func (s *Store) Save(key runner.Key, v any) error {
 // sealEntry encodes v into a complete entry file image:
 //
 //	magic | len(key) | key | len(blob) | crc32(blob) | blob
+//	blob = sigHash | payload
 //
-// where blob is the gob-encoded envelope. The stored key guards against
+// where sigHash is the plan's signature hash (little-endian) and payload
+// is v in the plan's encoding. The stored key guards against
 // (astronomically unlikely) filename-hash collisions and makes entries
 // self-describing for debugging.
-func sealEntry(key runner.Key, v any) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
-		return nil, fmt.Errorf("memo: encode %T: %w", v, err)
-	}
-	var blob bytes.Buffer
-	env := envelope{Schema: schemaVersion, Type: TypeSig(reflect.TypeOf(v)), Payload: payload.Bytes()}
-	if err := gob.NewEncoder(&blob).Encode(env); err != nil {
-		return nil, fmt.Errorf("memo: encode envelope: %w", err)
-	}
-	var out bytes.Buffer
-	out.Write(magic[:])
-	writeChunk(&out, []byte(key))
-	binary.Write(&out, binary.BigEndian, uint32(blob.Len()))
-	binary.Write(&out, binary.BigEndian, crc32.ChecksumIEEE(blob.Bytes()))
-	out.Write(blob.Bytes())
-	return out.Bytes(), nil
+func sealEntry(key runner.Key, p *plan, v reflect.Value) []byte {
+	b := append(make([]byte, 0, 512), magic[:]...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(key)))
+	b = append(b, key...)
+	head := len(b)
+	b = append(b, make([]byte, 8)...) // len(blob), crc32(blob): filled below
+	b = binary.LittleEndian.AppendUint64(b, p.hash)
+	b = p.enc(b, v)
+	blob := b[head+8:]
+	binary.BigEndian.PutUint32(b[head:], uint32(len(blob)))
+	binary.BigEndian.PutUint32(b[head+4:], crc32.ChecksumIEEE(blob))
+	return b
 }
 
-// openEntry verifies a raw entry file image and returns its envelope.
-func openEntry(data []byte, key runner.Key) (envelope, bool) {
-	var env envelope
+// openEntry verifies a raw entry file image written for key by a type
+// whose signature hashes to sigHash, and returns its payload.
+func openEntry(data []byte, key runner.Key, sigHash uint64) ([]byte, bool) {
 	if len(data) < len(magic) || !bytes.Equal(data[:len(magic)], magic[:]) {
-		return env, false
+		return nil, false
 	}
 	rest := data[len(magic):]
 	storedKey, rest, ok := readChunk(rest)
 	if !ok || string(storedKey) != string(key) {
-		return env, false
+		return nil, false
 	}
 	if len(rest) < 8 {
-		return env, false
+		return nil, false
 	}
 	blobLen := binary.BigEndian.Uint32(rest[:4])
 	sum := binary.BigEndian.Uint32(rest[4:8])
 	blob := rest[8:]
 	if uint32(len(blob)) != blobLen || crc32.ChecksumIEEE(blob) != sum {
-		return env, false
+		return nil, false
 	}
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&env); err != nil {
-		return env, false
+	if len(blob) < 8 || binary.LittleEndian.Uint64(blob) != sigHash {
+		return nil, false
 	}
-	return env, true
-}
-
-func writeChunk(w *bytes.Buffer, b []byte) {
-	binary.Write(w, binary.BigEndian, uint32(len(b)))
-	w.Write(b)
+	return blob[8:], true
 }
 
 func readChunk(data []byte) (chunk, rest []byte, ok bool) {
@@ -265,8 +252,8 @@ func readChunk(data []byte) (chunk, rest []byte, ok bool) {
 // TypeSig returns a structural signature of t: its name plus the recursive
 // names and types of every field. Reshaping any result struct — adding,
 // removing, reordering, or retyping a field, at any nesting depth — changes
-// the signature, so old entries read as invalid instead of being partially
-// decoded by gob's name matching.
+// the signature, so old entries read as invalid instead of being decoded
+// field by field into the wrong shape.
 func TypeSig(t reflect.Type) string {
 	var b bytes.Buffer
 	writeTypeSig(&b, t, make(map[reflect.Type]bool))

@@ -2,13 +2,21 @@ package memo
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"tsxhpc/internal/apps"
+	"tsxhpc/internal/clomp"
+	"tsxhpc/internal/core"
 	"tsxhpc/internal/faults"
+	"tsxhpc/internal/htm"
+	"tsxhpc/internal/netapps"
+	"tsxhpc/internal/probe"
+	"tsxhpc/internal/rmstm"
 	"tsxhpc/internal/runner"
 	"tsxhpc/internal/sim"
 	"tsxhpc/internal/stamp"
@@ -133,7 +141,7 @@ func TestKeyVerification(t *testing.T) {
 }
 
 // TestTypeSignatureGuard: an entry written as one type must not decode into
-// a reshaped type, even one gob would happily field-match.
+// a reshaped type, even one whose fields would decode without error.
 func TestTypeSignatureGuard(t *testing.T) {
 	type v1 struct {
 		Cycles uint64
@@ -299,5 +307,244 @@ func TestEngineIntegrationConcurrent(t *testing.T) {
 	}
 	if st := e3.Stats(); st.CacheHits != keys || st.Executed != 0 {
 		t.Fatalf("warm engine stats = %+v, want %d hits", st, keys)
+	}
+}
+
+// TestLoadOverwritesDestination: Load replaces out wholesale. Zero fields,
+// nil slices and nil maps in the stored value must come back as zero, nil
+// and nil even when the destination held something else.
+func TestLoadOverwritesDestination(t *testing.T) {
+	type result struct {
+		A, B uint64
+		S    []int
+		M    map[string]int
+	}
+	s := openTest(t)
+	want := result{A: 1}
+	if err := s.Save("cell", want); err != nil {
+		t.Fatal(err)
+	}
+	out := result{A: 9, B: 9, S: []int{9}, M: map[string]int{"x": 9}}
+	if st := s.Load("cell", &out); st != runner.StoreHit {
+		t.Fatalf("Load = %v, want hit", st)
+	}
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("Load into a non-zero destination = %+v, want %+v", out, want)
+	}
+}
+
+// verifyOutcome mirrors cmd/verify's per-seed result, the catalog's only
+// stored type with a map.
+type verifyOutcome struct {
+	Lines     string
+	Bad       bool
+	Txns      uint64
+	Starts    uint64
+	Aborts    uint64
+	Fallbacks uint64
+	TL2Aborts uint64
+	Counts    map[string]int
+}
+
+// TestRoundTripCatalogTypes: every result type the experiment catalog
+// stores comes back DeepEqual — nil and empty slices and maps included, so
+// a warm run serves exactly what the cold run computed.
+func TestRoundTripCatalogTypes(t *testing.T) {
+	full := stamp.Result{Workload: "intruder", Mode: tm.TL2, Threads: 8, Cycles: 1 << 40,
+		AbortRate: 37.25, AbortCauses: [htm.NumCauses]uint64{1, 2, 3}, Fallbacks: 4, Events: 5}
+	snap := probe.Snapshot{
+		Counters: []probe.CounterVal{{Name: "htm.starts", Value: 12}, {Name: "", Value: 0}},
+		Hists:    []probe.HistVal{{Name: "tl2.readset", Buckets: []uint64{0, 3, 0, 1}, Count: 4, Sum: 9}},
+	}
+	cases := []struct {
+		name string
+		v    any
+	}{
+		{"stamp.Result", full},
+		{"stamp.Result zero", stamp.Result{}},
+		{"stamp.ProbedResult", stamp.ProbedResult{Result: full, Probes: snap}},
+		{"stamp.ProbedResult nil slices", stamp.ProbedResult{Result: full}},
+		{"stamp.ProbedResult empty slices", stamp.ProbedResult{Probes: probe.Snapshot{
+			Counters: []probe.CounterVal{},
+			Hists:    []probe.HistVal{{Name: "h", Buckets: []uint64{}}, {Name: "nil"}},
+		}}},
+		{"netapps.Result", netapps.Result{App: "netferret", Mode: core.ModeTSXAbort, Bytes: 1 << 33,
+			ReadCycles: 77, Cycles: 99, Events: 3}},
+		{"netapps.ScaleResult", netapps.ScaleResult{Cores: 64, Clients: 100000, Module: "global-lock",
+			Bytes: 123, ReadCycles: 456, Cycles: 789, Events: 1011}},
+		{"clomp.Result", clomp.Result{Cycles: 5, AbortRate: 0.125, Events: 6}},
+		{"rmstm.Result", rmstm.Result{Workload: "kmeans", Scheme: rmstm.SGLScheme, Threads: 4,
+			Cycles: 8, AbortRate: 1.5, Syscalls: 2, Events: 9}},
+		{"apps.Result", apps.Result{Cycles: 10, AbortRate: 99.5, Events: 11}},
+		{"verify outcome nil map", verifyOutcome{Lines: "seed 1 ok\n", Txns: 3}},
+		{"verify outcome empty map", verifyOutcome{Bad: true, Counts: map[string]int{}}},
+		{"verify outcome full map", verifyOutcome{Counts: map[string]int{"lost-update": 2, "dirty-read": -1, "": 0}}},
+	}
+	s := openTest(t)
+	for i, c := range cases {
+		key := runner.Key(fmt.Sprintf("case/%d", i))
+		if err := s.Save(key, c.v); err != nil {
+			t.Fatalf("%s: Save: %v", c.name, err)
+		}
+		out := reflect.New(reflect.TypeOf(c.v))
+		if st := s.Load(key, out.Interface()); st != runner.StoreHit {
+			t.Fatalf("%s: Load = %v, want hit", c.name, st)
+		}
+		if got := out.Elem().Interface(); !reflect.DeepEqual(got, c.v) {
+			t.Errorf("%s: round trip mismatch:\nin  %#v\nout %#v", c.name, c.v, got)
+		}
+	}
+}
+
+// TestRoundTripSpecialValues: floats come back bit for bit (NaN, -0, ±Inf)
+// and integers at their extremes come back exactly.
+func TestRoundTripSpecialValues(t *testing.T) {
+	type extremes struct {
+		NaN, NegZero, PosInf, NegInf float64
+		Small                        float32
+		MaxU                         uint64
+		MinI                         int64
+		MaxI8                        int8
+	}
+	in := extremes{
+		NaN: math.NaN(), NegZero: math.Copysign(0, -1), PosInf: math.Inf(1), NegInf: math.Inf(-1),
+		Small: math.SmallestNonzeroFloat32, MaxU: math.MaxUint64, MinI: math.MinInt64, MaxI8: math.MaxInt8,
+	}
+	s := openTest(t)
+	if err := s.Save("cell", in); err != nil {
+		t.Fatal(err)
+	}
+	var out extremes
+	if st := s.Load("cell", &out); st != runner.StoreHit {
+		t.Fatalf("Load = %v, want hit", st)
+	}
+	for _, f := range []struct {
+		name    string
+		in, out float64
+	}{{"NaN", in.NaN, out.NaN}, {"-0", in.NegZero, out.NegZero}, {"+Inf", in.PosInf, out.PosInf}, {"-Inf", in.NegInf, out.NegInf}} {
+		if math.Float64bits(f.in) != math.Float64bits(f.out) {
+			t.Errorf("%s: bits %#x came back as %#x", f.name, math.Float64bits(f.in), math.Float64bits(f.out))
+		}
+	}
+	// NaN is never DeepEqual to itself; its bits are checked above.
+	in.NaN, out.NaN = 0, 0
+	if in != out {
+		t.Fatalf("round trip mismatch:\nin  %+v\nout %+v", in, out)
+	}
+}
+
+// TestSaveRefusesUnencodable: a value the codec cannot round-trip — a
+// pointer, an interface, an unexported field, however deep — is refused
+// with an error and counted, and leaves no file behind.
+func TestSaveRefusesUnencodable(t *testing.T) {
+	type withPointer struct{ P *int }
+	type withInterface struct{ I any }
+	type withUnexported struct {
+		Cycles uint64
+		events uint64
+	}
+	type node struct{ Kids []node }
+	type blank struct{ _ int }
+	s := openTest(t)
+	for i, v := range []any{
+		withPointer{}, withInterface{I: 1}, withUnexported{events: 1}, nil,
+		[]func(){}, make(chan int), complex(1, 2), uintptr(0), node{}, blank{},
+		[]struct{}{}, map[[0]int]struct{}{}, struct{ M map[string]*int }{}, [2][]any{},
+	} {
+		if err := s.Save(runner.Key(fmt.Sprintf("cell/%d", i)), v); err == nil {
+			t.Errorf("Save(%T) succeeded, want an error", v)
+		}
+		if got := s.Stats().SaveErrors; got != uint64(i+1) {
+			t.Errorf("after Save(%T): SaveErrors = %d, want %d", v, got, i+1)
+		}
+	}
+	ents, err := os.ReadDir(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Fatalf("refused saves left %d files in the store", len(ents))
+	}
+	var out withPointer
+	if st := s.Load("cell/0", &out); st != runner.StoreMiss {
+		t.Fatalf("Load of a refused save = %v, want miss", st)
+	}
+}
+
+// TestLoadOnUnencodableTypeIsInvalid: an entry can never hit for a
+// destination type the codec has no plan for, nor for a non-pointer out.
+func TestLoadOnUnencodableTypeIsInvalid(t *testing.T) {
+	s := openTest(t)
+	if err := s.Save("cell", 1); err != nil {
+		t.Fatal(err)
+	}
+	var p *int
+	for _, out := range []any{&p, 0, (*int)(nil)} {
+		if st := s.Load("cell", out); st != runner.StoreInvalid {
+			t.Errorf("Load into %T = %v, want invalid", out, st)
+		}
+	}
+}
+
+// TestLoadAllocs ratchets the read path: reading, verifying and decoding a
+// stamp.Result entry stays within a fixed allocation budget.
+func TestLoadAllocs(t *testing.T) {
+	s := openTest(t)
+	in := stamp.Result{Workload: "bayes", Mode: tm.TSX, Threads: 4, Cycles: 123456789, AbortRate: 12.5}
+	if err := s.Save("stamp/bayes/tsx/4T", in); err != nil {
+		t.Fatal(err)
+	}
+	var out stamp.Result
+	allocs := testing.AllocsPerRun(50, func() {
+		if s.Load("stamp/bayes/tsx/4T", &out) != runner.StoreHit {
+			t.Fatal("Load missed")
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("Load = %.0f allocs/op, want <= 16", allocs)
+	}
+}
+
+// probedSample is a real probed STAMP cell, the largest entry the catalog
+// stores.
+func probedSample(tb testing.TB) stamp.ProbedResult {
+	tb.Helper()
+	r, err := stamp.ExecuteProbed("intruder", tm.TSX, 8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+func BenchmarkStoreLoad(b *testing.B) {
+	s, err := OpenAt(b.TempDir(), "benchfp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Save("anatomy/intruder/tsx/8T", probedSample(b)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var out stamp.ProbedResult
+		if s.Load("anatomy/intruder/tsx/8T", &out) != runner.StoreHit {
+			b.Fatal("Load missed")
+		}
+	}
+}
+
+func BenchmarkStoreSave(b *testing.B) {
+	s, err := OpenAt(b.TempDir(), "benchfp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := probedSample(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Save("anatomy/intruder/tsx/8T", v); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -128,7 +128,7 @@ type CounterVal struct {
 }
 
 // HistVal is one named histogram in a snapshot. Buckets is kept as a slice
-// so snapshots gob-encode compactly inside memoized cell results.
+// so snapshots encode compactly inside memoized cell results.
 type HistVal struct {
 	Name    string
 	Buckets []uint64
@@ -146,8 +146,9 @@ func (h HistVal) Mean() float64 {
 
 // Snapshot is an immutable, name-sorted capture of a Set (possibly extended
 // with derived entries, e.g. the simulator's virtual-time phase counters).
-// Snapshots are plain exported data so they survive gob encoding through the
-// memo cache and the runner's result futures.
+// Snapshots are plain exported data (no pointers, interfaces or unexported
+// fields), so the memo store's codec round-trips them exactly inside
+// memoized cell results.
 type Snapshot struct {
 	Counters []CounterVal
 	Hists    []HistVal

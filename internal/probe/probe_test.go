@@ -91,7 +91,9 @@ func TestMergeOrderIndependent(t *testing.T) {
 	}
 }
 
-// Snapshots ride inside memoized cell results, so they must round-trip gob.
+// Snapshots are plain exported data, so a generic encoder round-trips them.
+// The memo store's own codec is round-trip tested on probed results in
+// internal/memo (this package cannot import it).
 func TestSnapshotGobRoundTrip(t *testing.T) {
 	s := NewSet()
 	s.Counter("x").Add(7)
