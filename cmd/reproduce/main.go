@@ -5,10 +5,11 @@
 // Simulation cells fan out across -parallel host workers and are memoized,
 // so cells shared between experiments run once; rendered output is
 // byte-identical at any parallelism level (only the host-time footer
-// varies). -only selects a subset of experiments by id. A host-performance
-// report (per-experiment wall time, simulated events, events/sec, cold/warm
-// cache timings) is written to BENCH_reproduce.json for full-catalog runs
-// (-benchforce extends that to -only subsets).
+// varies). -only selects a subset of experiments by id. -bench <path>
+// writes a JSON report of the run's host facts: per-section wall time and
+// simulated events, job and cache counts. Host speed itself is measured by
+// hostbench against the committed BENCH_hostbench.jsonl baseline
+// (scripts/bench_ratchet.sh), not by this report.
 //
 // Results additionally persist across processes in a content-addressed
 // on-disk cache (-cache <dir>, default .memo-cache; -cache off disables):
@@ -56,7 +57,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
 	"strings"
@@ -67,7 +67,6 @@ import (
 	"tsxhpc/internal/experiments"
 	"tsxhpc/internal/memo"
 	"tsxhpc/internal/runopts"
-	"tsxhpc/internal/sim"
 )
 
 // Exit codes. exitTotalFailure means the run produced nothing usable (every
@@ -212,21 +211,13 @@ type benchRow struct {
 	SimEvents uint64  `json:"sim_events"`
 }
 
-// benchReport is the BENCH_reproduce.json schema, the cross-PR perf record.
-// ColdSeconds/WarmSeconds track the cache-perf trajectory: a run that
-// simulated cells records its wall time as cold_seconds; a fully
-// cache-served run records warm_seconds and carries the cold time forward,
-// provided the model fingerprint still matches (a code or model edit resets
-// the pair).
+// benchReport is the -bench report: what this run did, with nothing carried
+// over from earlier runs. A cache-served section simulates nothing, so its
+// row records zero events.
 type benchReport struct {
 	Parallel       int        `json:"parallel"`
-	GoVersion      string     `json:"go_version"`
-	Scheduler      string     `json:"scheduler"`
 	TotalSeconds   float64    `json:"total_seconds"`
-	ColdSeconds    float64    `json:"cold_seconds"`
-	WarmSeconds    float64    `json:"warm_seconds"`
 	TotalSimEvents uint64     `json:"total_sim_events"`
-	EventsPerSec   float64    `json:"events_per_second"`
 	JobsExecuted   uint64     `json:"jobs_executed"`
 	JobsDeduped    uint64     `json:"jobs_deduped"`
 	Cache          string     `json:"cache"`
@@ -246,9 +237,17 @@ type options struct {
 	runopts.Options
 	only       string
 	benchPath  string
-	benchForce bool
 	cpuProfile string
 	timeout    time.Duration
+}
+
+// register binds every reproduce flag to o.
+func register(fs *flag.FlagSet, o *options) {
+	runopts.Register(fs, &o.Options)
+	fs.StringVar(&o.only, "only", "", "comma-separated experiment ids to run (E1..E9, A1..A7); empty runs all")
+	fs.StringVar(&o.benchPath, "bench", "", "write a JSON report of this run's host facts (section times, events, cache counts) to this path")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file (also the PGO input; see cmd/reproduce/default.pgo)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "host wall-clock budget per experiment (0: unlimited)")
 }
 
 func main() {
@@ -262,12 +261,7 @@ func main() {
 		debug.SetGCPercent(400)
 	}
 	var o options
-	runopts.Register(flag.CommandLine, &o.Options)
-	flag.StringVar(&o.only, "only", "", "comma-separated experiment ids to run (E1..E9, A1..A7); empty runs all")
-	flag.StringVar(&o.benchPath, "bench", "BENCH_reproduce.json", "path for the host-performance JSON report (empty disables; written only for full-catalog runs unless -benchforce)")
-	flag.BoolVar(&o.benchForce, "benchforce", false, "write the bench report even for partial (-only) runs")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file (also the PGO input; see cmd/reproduce/default.pgo)")
-	flag.DurationVar(&o.timeout, "timeout", 0, "host wall-clock budget per experiment (0: unlimited)")
+	register(flag.CommandLine, &o)
 	flag.Parse()
 	o.Finish(flag.CommandLine)
 
@@ -332,6 +326,21 @@ func run(o options, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// A bad output path fails here, before any simulation, not after the
+	// sweep. Opening without truncation keeps an existing file intact until
+	// the run overwrites it.
+	for _, path := range []string{o.benchPath, o.MetricsPath("reproduce"), o.TracePath} {
+		if path == "" {
+			continue
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return exitUsage
+		}
+		f.Close()
+	}
+
 	start := time.Now()
 	var rows []benchRow
 	type failure struct {
@@ -387,33 +396,15 @@ func run(o options, stdout, stderr io.Writer) int {
 		return exitInterrupted
 	}
 
-	switch {
-	case o.benchPath == "":
-	case selected != nil && !o.benchForce:
-		// A -only subset would clobber the full-catalog record with a
-		// partial one (the committed file was once reduced to just E1 that
-		// way). Skip unless explicitly forced.
-		fmt.Fprintf(stderr, "skipping %s: partial (-only) run; pass -benchforce to write it anyway\n", o.benchPath)
-	default:
+	if o.benchPath != "" {
 		if err := writeBench(o.benchPath, suite, store, total, rows, stderr); err != nil {
 			fmt.Fprintln(stderr, err)
 			return exitUsage
 		}
 	}
-
-	// The observability sidecars get the same partial-run guard as the bench
-	// report: a -only subset only simulated (and thus only counted) a slice
-	// of the catalog, and writing it out would clobber a full run's metrics
-	// or trace with a partial one.
-	switch {
-	case !o.ProbesArmed():
-	case selected != nil && !o.benchForce:
-		fmt.Fprintf(stderr, "skipping observability sidecars: partial (-only) run; pass -benchforce to write them anyway\n")
-	default:
-		if err := o.WriteObservability("reproduce", stderr); err != nil {
-			fmt.Fprintln(stderr, err)
-			return exitUsage
-		}
+	if err := o.WriteObservability("reproduce", stderr); err != nil {
+		fmt.Fprintln(stderr, err)
+		return exitUsage
 	}
 
 	// The cache summary rides on the host-time footer: every byte above it
@@ -446,17 +437,11 @@ func run(o options, stdout, stderr io.Writer) int {
 	return exitOK
 }
 
-// writeBench writes the host-performance report, merging the cold/warm
-// timing pair with any existing record for the same model fingerprint: a
-// run that simulated cells sets cold_seconds (resetting a now-unpaired warm
-// time), a fully cache-served run sets warm_seconds and keeps the matching
-// cold time.
+// writeBench writes the -bench report of this run.
 func writeBench(path string, suite *experiments.Suite, store *memo.Store, total time.Duration, rows []benchRow, stderr io.Writer) error {
 	st := suite.E.Stats()
 	rep := benchReport{
 		Parallel:       st.Workers,
-		GoVersion:      runtime.Version(),
-		Scheduler:      sim.SchedulerBackend(),
 		TotalSeconds:   total.Seconds(),
 		TotalSimEvents: st.Events,
 		JobsExecuted:   st.Executed,
@@ -468,55 +453,9 @@ func writeBench(path string, suite *experiments.Suite, store *memo.Store, total 
 		Quarantined:    st.Quarantined,
 		Experiments:    rows,
 	}
-	if s := total.Seconds(); s > 0 {
-		rep.EventsPerSec = float64(st.Events) / s
-	}
 	if store != nil {
 		rep.Cache = store.Dir()
 		rep.Fingerprint = store.Fingerprint()
-	}
-	var prev benchReport
-	if old, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(old, &prev)
-	}
-	carry := store != nil && prev.Fingerprint == rep.Fingerprint
-	if carry {
-		// A cache-served section simulates nothing, so its row records zero
-		// events even though the cold run that produced the cached cells
-		// counted them. The model fingerprint still matches, so the previous
-		// report's per-experiment counts remain true — carry each one forward
-		// rather than erasing it.
-		prevEvents := make(map[string]uint64, len(prev.Experiments))
-		for _, row := range prev.Experiments {
-			prevEvents[row.ID] = row.SimEvents
-		}
-		for i := range rep.Experiments {
-			if rep.Experiments[i].SimEvents == 0 {
-				rep.Experiments[i].SimEvents = prevEvents[rep.Experiments[i].ID]
-			}
-		}
-	}
-	if warm := store != nil && st.CacheHits > 0 && st.Executed == 0; warm {
-		rep.WarmSeconds = total.Seconds()
-		if carry {
-			rep.ColdSeconds = prev.ColdSeconds
-			// A fully cache-served run simulates nothing, so its own event
-			// stats are zero; carry the cold run's throughput record forward
-			// instead of clobbering it. events_per_second must always
-			// describe real simulation work (the ratchet script depends on
-			// it).
-			if st.Events == 0 {
-				rep.TotalSimEvents = prev.TotalSimEvents
-				rep.EventsPerSec = prev.EventsPerSec
-			}
-		}
-	} else {
-		rep.ColdSeconds = total.Seconds()
-		if carry && st.CacheHits > 0 {
-			// Incremental run (some hits, some simulated): keep the warm
-			// record — the model didn't change.
-			rep.WarmSeconds = prev.WarmSeconds
-		}
 	}
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -526,8 +465,8 @@ func writeBench(path string, suite *experiments.Suite, store *memo.Store, total 
 		return err
 	}
 	// Report on stderr so stdout stays byte-comparable across runs.
-	fmt.Fprintf(stderr, "wrote %s (%d jobs, %d deduped, %d cache hits, %.0f events/s)\n",
-		path, rep.JobsExecuted, rep.JobsDeduped, rep.CacheHits, rep.EventsPerSec)
+	fmt.Fprintf(stderr, "wrote %s (%d jobs, %d deduped, %d cache hits)\n",
+		path, rep.JobsExecuted, rep.JobsDeduped, rep.CacheHits)
 	return nil
 }
 

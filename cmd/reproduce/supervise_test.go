@@ -77,7 +77,7 @@ func cleanRun(t *testing.T, only string) (string, benchReport) {
 	t.Helper()
 	bench := filepath.Join(t.TempDir(), "bench.json")
 	var out, errOut strings.Builder
-	o := options{Options: runopts.Options{Cache: t.TempDir()}, only: only, benchPath: bench, benchForce: true}
+	o := options{Options: runopts.Options{Cache: t.TempDir()}, only: only, benchPath: bench}
 	if code := run(o, &out, &errOut); code != 0 {
 		t.Fatalf("clean run exit = %d; stderr: %s", code, errOut.String())
 	}
@@ -92,7 +92,7 @@ func rerun(t *testing.T, cache, only string) {
 	cleanOut, cleanRep := cleanRun(t, only)
 	bench := filepath.Join(t.TempDir(), "bench.json")
 	var out, errOut strings.Builder
-	o := options{Options: runopts.Options{Cache: cache}, only: only, benchPath: bench, benchForce: true}
+	o := options{Options: runopts.Options{Cache: cache}, only: only, benchPath: bench}
 	if code := run(o, &out, &errOut); code != 0 {
 		t.Fatalf("rerun exit = %d; stderr: %s", code, errOut.String())
 	}

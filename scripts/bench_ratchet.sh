@@ -1,76 +1,83 @@
 #!/usr/bin/env bash
-# Events/s ratchet: a fresh cold reproduce must not regress simulator
-# throughput past a noise band below the committed BENCH_reproduce.json
-# record.
+# Speed gate: hostbench against the committed baseline, plus the N=512
+# scheduler micro gate.
 #
-#   scripts/bench_ratchet.sh            enforce (CI)
-#   scripts/bench_ratchet.sh -print     print fresh vs committed, no gate
+#   scripts/bench_ratchet.sh
 #
-# The gate compares events_per_second (total simulated events / host wall
-# time, cold, cache off) because it is the one number that normalizes out
-# catalog growth: adding experiments raises wall time but not events/s.
-# TOLERANCE absorbs host noise — shared CI runners jitter 20-30% — while
-# still catching real regressions (the scheduler rewrite this ratchet
-# guards was a >2x move). Raise the committed record by re-running
-#   go run ./cmd/reproduce -cache off
-# on the reference host; the floor only moves up via that file.
+# For each workload BENCHMARK.json declares, hostbench runs for its
+# run_seconds window (seed 1, untraced) and the gate fails if the run
+#   - reports "correct" other than true,
+#   - fails a larger share of its ops than the baseline run did, or
+#   - is worse than the baseline on any end_to_end metric by more than that
+#     metric's bound, in the direction its "better" field gives.
+# Workloads, metrics, bounds and the window all come from BENCHMARK.json.
+# Metrics are in hostbench's reference units, which divide out most host
+# drift, so the committed baseline holds across hosts.
+#
+# The baseline is BENCH_hostbench.jsonl: one line per workload, the
+# hostbench JSON line plus workload, seed and seconds. Every run writes its
+# fresh lines to .bench_build/bench_fresh.jsonl; to move the baseline, copy
+# that file over BENCH_hostbench.jsonl in a change that says why.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-baseline=BENCH_reproduce.json
-mode=${1:-}
+spec=BENCHMARK.json
+baseline=BENCH_hostbench.jsonl
+fresh=.bench_build/bench_fresh.jsonl
+seed=1
+seconds=$(jq -e .run_seconds "$spec")
+mkdir -p "$(dirname "$fresh")"
+: >"$fresh"
 
-committed=$(jq -e .events_per_second "$baseline")
-if ! jq -e '.events_per_second > 0 and .total_sim_events > 0' "$baseline" >/dev/null; then
-  echo "bench ratchet: FAILED — $baseline has no event throughput record" >&2
-  echo "(regenerate with: go run ./cmd/reproduce -cache off)" >&2
-  exit 1
-fi
-
-fresh_json=$(mktemp)
-trap 'rm -f "$fresh_json"' EXIT
-# Cold, cache off: every cell simulates, so events_per_second measures the
-# engine, not the memo cache. Stdout is discarded — the determinism CI job
-# owns the byte-identity check.
-go run ./cmd/reproduce -cache off -bench "$fresh_json" >/dev/null
-
-fresh=$(jq -e .events_per_second "$fresh_json")
-events=$(jq -e .total_sim_events "$fresh_json")
-if [ "$events" -eq 0 ]; then
-  echo "bench ratchet: FAILED — fresh run recorded zero simulated events" >&2
-  exit 1
-fi
-
-# Supervision hygiene: with fault injection off, no cell may fail — a
-# nonzero quarantine count here means real cells are failing on a healthy
-# run while the rest of the sweep carries on without them.
-if ! jq -e '.quarantined == 0' "$fresh_json" >/dev/null; then
-  echo "bench ratchet: FAILED — faults-off run quarantined cells:" >&2
-  jq '{quarantined}' "$fresh_json" >&2
-  exit 1
-fi
-
-TOLERANCE=${TOLERANCE:-0.7}
-floor=$(awk -v c="$committed" -v t="$TOLERANCE" 'BEGIN { printf "%.0f", c * t }')
-printf 'bench ratchet: fresh %.0f events/s, committed %.0f, floor %.0f (tolerance %s)\n' \
-  "$fresh" "$committed" "$floor" "$TOLERANCE"
-
-if [ "$mode" = "-print" ]; then
-  exit 0
-fi
-if awk -v f="$fresh" -v fl="$floor" 'BEGIN { exit !(f < fl) }'; then
-  echo "bench ratchet: FAILED — events/s regressed below the floor" >&2
-  echo "(committed record lives in $baseline; if the regression is intended," >&2
-  echo " regenerate it with: go run ./cmd/reproduce -cache off)" >&2
+failed=0
+for w in $(jq -r '.workloads[].name' "$spec"); do
+  report=$(bash hostbench/run.sh --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0) || {
+    echo "bench ratchet: FAILED — hostbench could not run $w" >&2
+    exit 1
+  }
+  head -n -1 <<<"$report"
+  new=$(tail -n 1 <<<"$report" |
+    jq -c --arg w "$w" --argjson seed "$seed" --argjson s "$seconds" '{workload: $w, seed: $seed, seconds: $s} + .')
+  echo "$new" >>"$fresh"
+  base=$(jq -c --arg w "$w" 'select(.workload == $w)' "$baseline")
+  if [ -z "$base" ]; then
+    echo "bench ratchet: FAILED — $baseline has no $w line" >&2
+    exit 1
+  fi
+  # One line per check; a line starting with FAIL names what regressed.
+  verdict=$(jq -r --argjson base "$base" --argjson new "$new" '
+    def share(r): if r.attempted > 0 then r.failed / r.attempted else 0 end;
+    def num: . * 1000 | round / 1000;
+    def pct: . * 1000 | round / 10;
+    $new.workload as $w
+    | (if $new.correct == true then "ok   \($w) correct"
+       else "FAIL \($w) correct is \($new.correct)" end),
+      "\(if share($new) > share($base) then "FAIL" else "ok  " end) \($w) failed ops \($new.failed)/\($new.attempted), baseline \($base.failed)/\($base.attempted)",
+      (.end_to_end[] as $m
+       | $base.metrics[$m.name].value as $b
+       | $new.metrics[$m.name].value as $f
+       | if $b == null or $f == null then "FAIL \($w) \($m.name) missing"
+         else (if $m.better == "lower" then ($f - $b) / $b else ($b - $f) / $b end) as $worse
+         | "\(if $worse > $m.bound then "FAIL" else "ok  " end) \($w) \($m.name) \($f | num) \($m.unit), baseline \($b | num): "
+           + (if $worse >= 0 then "\($worse | pct)% worse" else "\(-$worse | pct)% better" end)
+           + " (bound \($m.bound | pct)%)"
+         end)' "$spec")
+  sed 's/^/bench ratchet: /' <<<"$verdict"
+  if grep -q '^FAIL' <<<"$verdict"; then
+    failed=1
+  fi
+done
+if [ "$failed" -ne 0 ]; then
+  echo "bench ratchet: FAILED — see the FAIL lines above; the fresh lines are in $fresh" >&2
   exit 1
 fi
 
 # Large-N scheduler floor: at 512 runnable contexts the tournament-tree run
 # queue must hold at least a 5x per-handoff lead over the flat rescan-min
 # baseline (~20x on the reference host; the 4-ary heap it replaced held
-# ~7x). The full-catalog events/s gate above cannot see this — catalog
-# machines run at most 16 threads, where tree and rescan are comparable.
-MIN_TREE_SPEEDUP=${MIN_TREE_SPEEDUP:-5.0}
+# ~7x). hostbench cannot see this: its machines run at most 128 contexts,
+# and catalog machines at most 16, where tree and rescan are comparable.
+readonly tree_floor=5.0
 sched=$(go test ./internal/sim/ -run '^$' \
   -bench 'SchedTreeN512$|SchedFlatRescanN512$' -benchtime 500000x 2>/dev/null)
 tree_ns=$(echo "$sched" | awk '/BenchmarkSchedTreeN512/ {print $3}')
@@ -81,9 +88,9 @@ if [ -z "$tree_ns" ] || [ -z "$flat_ns" ]; then
   exit 1
 fi
 printf 'bench ratchet: sched@512 tree %.0f ns/op, flat rescan %.0f ns/op (%.1fx, floor %sx)\n' \
-  "$tree_ns" "$flat_ns" "$(awk -v h="$tree_ns" -v f="$flat_ns" 'BEGIN { print f/h }')" "$MIN_TREE_SPEEDUP"
-if awk -v h="$tree_ns" -v f="$flat_ns" -v m="$MIN_TREE_SPEEDUP" 'BEGIN { exit !(f < h * m) }'; then
-  echo "bench ratchet: FAILED — tree scheduler lead at 512 contexts fell below ${MIN_TREE_SPEEDUP}x" >&2
+  "$tree_ns" "$flat_ns" "$(awk -v h="$tree_ns" -v f="$flat_ns" 'BEGIN { print f/h }')" "$tree_floor"
+if awk -v h="$tree_ns" -v f="$flat_ns" -v m="$tree_floor" 'BEGIN { exit !(f < h * m) }'; then
+  echo "bench ratchet: FAILED — tree scheduler lead at 512 contexts fell below ${tree_floor}x" >&2
   exit 1
 fi
 echo "bench ratchet: OK"
