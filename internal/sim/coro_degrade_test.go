@@ -65,51 +65,65 @@ type convoyOutcome struct {
 	Blocks  int
 }
 
-// TestBackendsAgreeOnBlockWakeConvoy drives 64 contexts through a lock
+// TestBackendsAgreeOnBlockWakeConvoy drives contexts through a lock
 // handoff convoy: every release wakes the longest waiter directly, so most
 // switches are Block parks and Wake-driven resumptions spread across every
 // carrier's slot — the pattern that exercises the iter.Pull slot's
-// next/yield parity on slots other parties keep re-entering.
+// next/yield parity on slots other parties keep re-entering. The
+// compute-heavy case packs 16 contexts onto 8 HT cores and draws work
+// spanning many Compute quanta, so queued threads' quanta are charged by
+// whichever context hands the core over.
 func TestBackendsAgreeOnBlockWakeConvoy(t *testing.T) {
-	const threads, rounds = 64, 20
-	fast, pull := onBothBackends(t, func() convoyOutcome {
-		cfg := DefaultConfig()
-		cfg.Sockets, cfg.Cores, cfg.ThreadsPerCore = 2, 16, 2
-		m := New(cfg)
-		counter := m.Mem.AllocLine(8)
-		held, blocks := false, 0
-		var waiters []*Context
-		res := m.Run(threads, func(c *Context) {
-			for r := 0; r < rounds; r++ {
-				if held {
-					waiters = append(waiters, c)
-					blocks++
-					c.Block() // woken by the releaser: the lock is handed over
-				} else {
-					held = true
-				}
-				c.Store(counter, c.Load(counter)+1)
-				c.Compute(uint64(c.Rand.Int63n(50)))
-				if len(waiters) > 0 {
-					next := waiters[0]
-					waiters = waiters[1:]
-					c.Wake(next, c.Now())
-				} else {
-					held = false
-				}
-				c.Compute(uint64(c.Rand.Int63n(200)))
+	for _, tc := range []struct {
+		name                    string
+		threads, rounds         int
+		sockets, cores          int
+		insideWork, outsideWork int64
+	}{
+		{"short", 64, 20, 2, 16, 50, 200},
+		{"compute-heavy-ht", 16, 20, 1, 8, 600, 2500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fast, pull := onBothBackends(t, func() convoyOutcome {
+				cfg := DefaultConfig()
+				cfg.Sockets, cfg.Cores, cfg.ThreadsPerCore = tc.sockets, tc.cores, 2
+				m := New(cfg)
+				counter := m.Mem.AllocLine(8)
+				held, blocks := false, 0
+				var waiters []*Context
+				res := m.Run(tc.threads, func(c *Context) {
+					for r := 0; r < tc.rounds; r++ {
+						if held {
+							waiters = append(waiters, c)
+							blocks++
+							c.Block() // woken by the releaser: the lock is handed over
+						} else {
+							held = true
+						}
+						c.Store(counter, c.Load(counter)+1)
+						c.Compute(uint64(c.Rand.Int63n(tc.insideWork)))
+						if len(waiters) > 0 {
+							next := waiters[0]
+							waiters = waiters[1:]
+							c.Wake(next, c.Now())
+						} else {
+							held = false
+						}
+						c.Compute(uint64(c.Rand.Int63n(tc.outsideWork)))
+					}
+				})
+				return convoyOutcome{res, m.Mem.ReadRaw(counter), blocks}
+			})
+			if !reflect.DeepEqual(fast, pull) {
+				t.Fatalf("backends disagree on the convoy:\nfast: %+v\npull: %+v", fast, pull)
+			}
+			if want := uint64(tc.threads * tc.rounds); fast.Counter != want {
+				t.Fatalf("counter = %d, want %d", fast.Counter, want)
+			}
+			if fast.Blocks < tc.threads*tc.rounds/2 {
+				t.Fatalf("only %d of %d acquisitions blocked; the workload is not a convoy", fast.Blocks, tc.threads*tc.rounds)
 			}
 		})
-		return convoyOutcome{res, m.Mem.ReadRaw(counter), blocks}
-	})
-	if !reflect.DeepEqual(fast, pull) {
-		t.Fatalf("backends disagree on the convoy:\nfast: %+v\npull: %+v", fast, pull)
-	}
-	if fast.Counter != threads*rounds {
-		t.Fatalf("counter = %d, want %d", fast.Counter, threads*rounds)
-	}
-	if fast.Blocks < threads*rounds/2 {
-		t.Fatalf("only %d of %d acquisitions blocked; the workload is not a convoy", fast.Blocks, threads*rounds)
 	}
 }
 
