@@ -6,7 +6,8 @@ import "testing"
 // continuation scheduler is built around — the coroutine handoff itself,
 // the batched no-switch fast path, and run-queue maintenance under
 // contention — so a regression in any one of them is visible before it
-// washes out into the full-reproduce events/s number.
+// washes out into the end-to-end hostbench metrics scripts/bench_ratchet.sh
+// gates on.
 //
 // Configs are spelled out rather than taken from DefaultConfig so the
 // benchmarks are immune to process-wide RunDefaults (fault injection,
@@ -67,13 +68,32 @@ func BenchmarkRunQueueContended(b *testing.B) {
 	})
 }
 
+// BenchmarkComputeQuanta: sixteen contexts on 8 cores × 2 HyperThreads
+// loop Compute(2000), thirteen quanta a call, so nearly every quantum
+// boundary finds another context due. Queued contexts' quanta are charged
+// in place by whichever context hands the core over, so most boundaries
+// cost a leaf replay, not a coroutine switch. One op is one event.
+func BenchmarkComputeQuanta(b *testing.B) {
+	const threads, work = 16, 2000
+	const quanta = (work + computeQuantum - 1) / computeQuantum
+	m := New(benchConfig(8, 2))
+	per := b.N/(threads*quanta) + 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.Run(threads, func(c *Context) {
+		for i := 0; i < per; i++ {
+			c.Compute(work)
+		}
+	})
+}
+
 // BenchmarkHotPathProbesOff / BenchmarkHotPathProbesOn bracket the probe
 // layer's cost on the hottest path (charge via the batched no-switch
 // Compute): Off is the production configuration, whose only addition is one
 // nil test; On adds the per-cycle phase attribution. The CI guard
 // (scripts/probe_overhead.sh) asserts the pair stays within a tight band of
 // each other, which bounds the disarmed check from above; absolute
-// regressions are caught by the events/s ratchet.
+// regressions are caught by hostbench under scripts/bench_ratchet.sh.
 func benchHotPath(b *testing.B, metrics bool) {
 	cfg := benchConfig(1, 1)
 	cfg.Metrics = metrics

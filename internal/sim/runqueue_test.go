@@ -118,3 +118,7 @@ func TestBlockOnEmptyQueueDeadlocks(t *testing.T) {
 		t.Fatalf("cycles after recovery = %d, want 5", res.Cycles)
 	}
 }
+
+// qempty reports whether no context is queued. A vacant leaf holds
+// MaxUint64, which no real key reaches (clocks stay below 2^54).
+func (m *Machine) qempty() bool { return m.qtopKey == ^uint64(0) }

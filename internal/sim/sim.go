@@ -17,8 +17,11 @@
 // run-queue locks never appear on the hot path. The Run caller's goroutine
 // drives only region start, teardown and drain. A context that strictly
 // holds the minimum clock batches consecutive events without leaving its
-// carrier at all (see Context.maybeYield). All timing is expressed in
-// virtual cycles; wall-clock time is never used for results.
+// carrier at all (see Context.maybeYield), and a queued context whose next
+// event is only a Compute quantum never gets the core back for it: whoever
+// hands the core over charges that quantum in place (see Machine.settle).
+// All timing is expressed in virtual cycles; wall-clock time is never used
+// for results.
 //
 // Higher layers build the machine model on top of the hooks exposed here:
 // package htm installs the transactional conflict/eviction/syscall hooks to
@@ -380,9 +383,12 @@ type Context struct {
 	sibling *Context
 	state   ctxState
 	leaf    int32 // run-queue tree leaf while queued (stale otherwise)
-	id      int
-	core    int
-	slot    int // hardware-thread slot within the core (0 or 1)
+	// computeLeft is the part of the current Compute not yet charged; a
+	// queued context's is charged by Machine.settle.
+	computeLeft uint64
+	id          int
+	core        int
+	slot        int // hardware-thread slot within the core (0 or 1)
 
 	// parkedIn is the coro this context's carrier goroutine is parked in
 	// while it is not running: whoever resumes the carrier switches on this
@@ -516,6 +522,7 @@ func (m *Machine) attach(n int) {
 		c.clock = 0
 		c.key = uint64(i)
 		c.state = ctxRunnable
+		c.computeLeft = 0
 		c.wakePending = false
 		c.wakeAt = 0
 		c.InTxn = false
@@ -657,7 +664,7 @@ func (m *Machine) finish(c *Context) {
 	c.state = ctxDone
 	c.Progress()
 	m.nLive--
-	if !m.qempty() {
+	if m.settle(^uint64(0)) {
 		c.finishPark(m.popMin().parkedIn)
 		return
 	}
@@ -751,19 +758,40 @@ func (m *Machine) onDeadline(c *Context) {
 //
 // The fast path — the current context still holds the minimum — costs one
 // comparison against the cached queue minimum and no coroutine switch. The
-// handover path puts c in the departing winner's leaf and replays that one
-// leaf-to-root path; the successor depends only on the (clock, id) key set,
-// so the schedule is unchanged.
+// handover path first settles the due contexts' pending Compute quanta in
+// place; if c is the minimum again it carries on without a switch,
+// otherwise it takes the successor's leaf and replays that one leaf-to-root
+// path. The successor depends only on the (clock, id) key set, so the
+// schedule is unchanged.
 func (c *Context) maybeYield() {
 	m := c.m
-	if c.key < m.qtopKey {
-		// Still the strict (clock, id) minimum — qtopKey is MaxUint64 when
-		// the queue is empty, so the empty case needs no extra branch. Keys
-		// are unique (unique thread ids), so equality can only mean another
-		// context is due.
-		return
+	// qtopKey is MaxUint64 when the queue is empty, so the empty case needs
+	// no extra branch. Keys are unique (unique thread ids), so c.key never
+	// equals the queued minimum.
+	if c.key > m.qtopKey && m.settle(c.key) {
+		c.parkOn(m.replaceTop(c).parkedIn)
 	}
-	c.parkOn(m.replaceTop(c).parkedIn)
+}
+
+// settle charges in place every pending Compute quantum that falls due
+// before key k, and reports whether a context with none pending now
+// precedes k: the one the caller must hand the core to. A quantum is
+// charged while its context holds the minimum (clock, id) key, the same
+// point in the event order as if it had been switched to, so the charge
+// sees the same sibling state, tick-hook draw, deadline and probe phase.
+// Block and finish pass MaxUint64; false then means the queue is empty.
+func (m *Machine) settle(k uint64) bool {
+	for m.qtopKey < k {
+		w := m.ctxs[m.qtopKey&keyIDMask]
+		if w.computeLeft == 0 {
+			return true
+		}
+		q := min(w.computeLeft, computeQuantum)
+		w.computeLeft -= q
+		w.charge(q)
+		m.qtopKey = m.replay(w.leaf, w.key)
+	}
+	return false
 }
 
 // Block parks the context until another context calls Wake on it.
@@ -783,7 +811,7 @@ func (c *Context) Block() {
 		return
 	}
 	c.state = ctxBlocked
-	if m.qempty() {
+	if !m.settle(^uint64(0)) {
 		m.deadlock(c)
 	}
 	c.parkOn(m.popMin().parkedIn)
@@ -852,15 +880,23 @@ func (c *Context) charge(cyc uint64) {
 const computeQuantum = 160
 
 // Compute models cyc cycles of thread-private computation (no shared-memory
-// side effects).
+// side effects), charged in quanta of at most computeQuantum cycles with a
+// scheduling point after each. computeLeft holds the cycles not yet
+// charged: while the context holds the core it charges them itself, and
+// while it is queued whoever hands the core over charges them in place
+// (Machine.settle), so a parked Compute resumes only once all of its
+// quanta are charged.
 func (c *Context) Compute(cyc uint64) {
-	for cyc > computeQuantum {
-		c.charge(computeQuantum)
+	c.computeLeft = cyc
+	for {
+		q := min(c.computeLeft, computeQuantum)
+		c.computeLeft -= q
+		c.charge(q)
 		c.maybeYield()
-		cyc -= computeQuantum
+		if c.computeLeft == 0 {
+			return
+		}
 	}
-	c.charge(cyc)
-	c.maybeYield()
 }
 
 // Syscall models a system call: it aborts any in-flight hardware transaction
@@ -1010,10 +1046,6 @@ func (m *Machine) replay(i int32, k uint64) uint64 {
 	}
 	return k
 }
-
-// qempty reports whether no context is queued. A vacant leaf holds
-// MaxUint64, which no real key reaches (clocks stay below 2^54).
-func (m *Machine) qempty() bool { return m.qtopKey == ^uint64(0) }
 
 // replaceTop hands the queue minimum's leaf to c in one walk and returns
 // the departing minimum. The caller must ensure the queue is nonempty.
