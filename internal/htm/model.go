@@ -89,10 +89,10 @@ func ParseModel(name string) (CapacityModel, error) {
 // demote to the Bloom secondary filter, and the requester wins conflicts.
 type l1bloomModel struct{}
 
-func (l1bloomModel) Name() string                  { return "l1bloom" }
-func (l1bloomModel) Track(*Txn, sim.Addr, bool)    {}
-func (l1bloomModel) RequesterWins() bool           { return true }
-func (l1bloomModel) CheckCommit(t *Txn)            { t.rt.checkCommitL1(t, nil) }
+func (l1bloomModel) Name() string               { return "l1bloom" }
+func (l1bloomModel) Track(*Txn, sim.Addr, bool) {}
+func (l1bloomModel) RequesterWins() bool        { return true }
+func (l1bloomModel) CheckCommit(t *Txn)         { t.rt.checkCommitL1(t, nil) }
 func (l1bloomModel) Evict(t *Txn, line sim.Addr, wasWrite bool) {
 	if wasWrite {
 		t.rt.doom(t, Capacity, false)
