@@ -80,9 +80,7 @@ func ElideSet(rt *htm.Runtime, c *sim.Context, locks []*ssync.Mutex, maxRetries 
 			// livelock against a steady stream of fallback lock hand-offs.
 			prev := c.SetPhase(sim.PhaseSpin)
 			for _, mu := range locks {
-				for spins := 0; c.Load(mu.Addr) != 0 && spins < 4*costs.MutexSpinTries; spins++ {
-					c.Compute(costs.MutexSpin)
-				}
+				c.SpinOn(mu.Addr, false, costs.MutexSpin, 4*costs.MutexSpinTries)
 			}
 			c.SetPhase(prev)
 		case htm.Conflict:

@@ -440,9 +440,7 @@ func (r *Region) doElided(c *sim.Context, body func(CS)) {
 			attempt++
 			// Bounded wait (see tm.System.elide): an unbounded spin can
 			// livelock against a steady stream of fallback lock hand-offs.
-			for spins := 0; c.Load(r.mu.Addr) != 0 && spins < 4*costs.MutexSpinTries; spins++ {
-				c.Compute(costs.MutexSpin)
-			}
+			c.SpinOn(r.mu.Addr, false, costs.MutexSpin, 4*costs.MutexSpinTries)
 		case htm.Conflict:
 			conflicts++
 			if conflicts > conflictRetryBudget {

@@ -18,8 +18,9 @@
 // drives only region start, teardown and drain. A context that strictly
 // holds the minimum clock batches consecutive events without leaving its
 // carrier at all (see Context.maybeYield), and a queued context whose next
-// event is only a Compute quantum never gets the core back for it: whoever
-// hands the core over charges that quantum in place (see Machine.settle).
+// event is only a Compute quantum or a lock-spin probe step never gets the
+// core back for it: whoever hands the core over takes that step in place
+// (see Machine.settle and Context.SpinOn).
 // All timing is expressed in virtual cycles; wall-clock time is never used
 // for results.
 //
@@ -382,7 +383,12 @@ type Context struct {
 	cache   *Cache // this core's L1 (m.caches[core], cached for the access path)
 	sibling *Context
 	state   ctxState
-	leaf    int32 // run-queue tree leaf while queued (stale otherwise)
+	// spinStage is the next stage of the SpinOn wait in progress (spinIdle
+	// when none), spinCAS its probe kind and spinDone its outcome; the rest
+	// of the wait's state is at the end, off the hot line.
+	spinStage         uint8
+	spinCAS, spinDone bool
+	leaf              int32 // run-queue tree leaf while queued (stale otherwise)
 	// computeLeft is the part of the current Compute not yet charged; a
 	// queued context's is charged by Machine.settle.
 	computeLeft uint64
@@ -419,7 +425,21 @@ type Context struct {
 	// and its conflict-hook delivery (0 otherwise; line addresses start at
 	// 64). See Machine.AccessInFlight.
 	pendingLine Addr
+
+	// spinAddr, spinGap and spinLeft are the word a SpinOn wait probes, the
+	// Compute between its probes, and the failed probes it still allows.
+	spinAddr Addr
+	spinGap  uint64
+	spinLeft int
 }
+
+// SpinOn probe stages.
+const (
+	spinIdle   = iota
+	spinAtomic // the Costs.Atomic pre-compute of a CAS probe
+	spinAccess // the timed access: cache state and its charge
+	spinEffect // the conflict hook and the memory effect
+)
 
 // ID returns the simulated thread id (0-based, dense).
 func (c *Context) ID() int { return c.id }
@@ -523,6 +543,7 @@ func (m *Machine) attach(n int) {
 		c.key = uint64(i)
 		c.state = ctxRunnable
 		c.computeLeft = 0
+		c.spinStage = spinIdle
 		c.wakePending = false
 		c.wakeAt = 0
 		c.InTxn = false
@@ -773,25 +794,72 @@ func (c *Context) maybeYield() {
 	}
 }
 
-// settle charges in place every pending Compute quantum that falls due
+// settle takes in place every pending step (Context.step) that falls due
 // before key k, and reports whether a context with none pending now
-// precedes k: the one the caller must hand the core to. A quantum is
-// charged while its context holds the minimum (clock, id) key, the same
-// point in the event order as if it had been switched to, so the charge
-// sees the same sibling state, tick-hook draw, deadline and probe phase.
-// Block and finish pass MaxUint64; false then means the queue is empty.
+// precedes k: the one the caller must hand the core to. A step is taken
+// while its context holds the minimum (clock, id) key, the same point in
+// the event order as if it had been switched to, so its charge sees the
+// same sibling state, tick-hook draw, deadline and probe phase. Block and
+// finish pass MaxUint64; false then means the queue is empty.
 func (m *Machine) settle(k uint64) bool {
 	for m.qtopKey < k {
 		w := m.ctxs[m.qtopKey&keyIDMask]
-		if w.computeLeft == 0 {
+		if !w.step() {
 			return true
 		}
-		q := min(w.computeLeft, computeQuantum)
-		w.computeLeft -= q
-		w.charge(q)
 		m.qtopKey = m.replay(w.leaf, w.key)
 	}
 	return false
+}
+
+// step takes c's next pending unit of work and reports whether it did: a
+// Compute quantum, or the next stage of a SpinOn probe. Each unit ends in
+// exactly one charge. false means nothing is pending, or the spin wait just
+// ended with no charge, so c's own code must run next.
+func (c *Context) step() bool {
+	if c.computeLeft > 0 {
+		c.quantum()
+		return true
+	}
+	return c.spinStage != spinIdle && c.spinStep()
+}
+
+// spinStep takes the next stage of c's SpinOn probe.
+func (c *Context) spinStep() bool {
+	switch c.spinStage {
+	case spinAtomic:
+		c.spinStage = spinAccess
+		c.computeLeft = c.m.Costs.Atomic
+		c.quantum()
+	case spinAccess:
+		c.spinStage = spinEffect
+		line := LineOf(c.spinAddr)
+		if c.m.Cfg.Invariants {
+			c.pendingLine = line // see access
+		}
+		c.charge(c.cache.access(c, line, c.spinCAS, false))
+	default: // spinEffect
+		if h := c.m.ConflictHook; h != nil {
+			h(c, LineOf(c.spinAddr), c.spinCAS)
+		}
+		c.pendingLine = 0
+		old := c.m.Mem.read(c.spinAddr)
+		if c.spinCAS {
+			c.m.Mem.write(c.spinAddr, max(old, 1)) // CAS 0→1, as RMW writes f(old)
+		}
+		if c.spinDone = old == 0; c.spinDone || c.spinLeft == 0 {
+			c.spinStage = spinIdle
+			return false
+		}
+		c.spinLeft--
+		c.spinStage = spinAccess
+		if c.spinCAS {
+			c.spinStage = spinAtomic
+		}
+		c.computeLeft = c.spinGap
+		c.quantum()
+	}
+	return true
 }
 
 // Block parks the context until another context calls Wake on it.
@@ -885,7 +953,10 @@ const computeQuantum = 160
 // charged: while the context holds the core it charges them itself, and
 // while it is queued whoever hands the core over charges them in place
 // (Machine.settle), so a parked Compute resumes only once all of its
-// quanta are charged.
+// quanta are charged. The loop spells out quantum: the committed PGO
+// profile keys its hot Compute-to-charge edge to the charge's line offset
+// in this function, and calling quantum here cost about 5% of host time on
+// the A6 cells.
 func (c *Context) Compute(cyc uint64) {
 	c.computeLeft = cyc
 	for {
@@ -897,6 +968,35 @@ func (c *Context) Compute(cyc uint64) {
 			return
 		}
 	}
+}
+
+// quantum charges the next quantum of c's Compute; with none left it
+// charges one zero-cycle event, as Compute(0) does.
+func (c *Context) quantum() {
+	q := min(c.computeLeft, computeQuantum)
+	c.computeLeft -= q
+	c.charge(q)
+}
+
+// SpinOn is a lock spin wait: up to tries+1 timed probes of the word at a,
+// with Compute(gap) between them, until one succeeds. A load probe (cas
+// false) succeeds when the word is 0. A CAS probe computes Costs.Atomic,
+// then does an indivisible read-modify-write that swaps 0 for 1, and
+// succeeds when it swaps. It reports whether the last probe succeeded.
+// Each probe charges and schedules exactly like Compute plus Load or RMW,
+// but while the spinner is queued whoever hands the core over takes its
+// steps in place (Machine.settle), so it gets the core back only once the
+// wait ends.
+func (c *Context) SpinOn(a Addr, cas bool, gap uint64, tries int) bool {
+	c.spinAddr, c.spinGap, c.spinLeft, c.spinCAS = a, gap, tries, cas
+	c.spinStage = spinAccess
+	if cas {
+		c.spinStage = spinAtomic
+	}
+	for c.step() {
+		c.maybeYield()
+	}
+	return c.spinDone
 }
 
 // Syscall models a system call: it aborts any in-flight hardware transaction

@@ -12,7 +12,11 @@
 // transactional execution").
 package ssync
 
-import "tsxhpc/internal/sim"
+import (
+	"math"
+
+	"tsxhpc/internal/sim"
+)
 
 // Mutex is a pthread-style blocking mutex: a brief adaptive spin followed by
 // a futex park. The lock word lives in simulated memory at Addr.
@@ -34,23 +38,12 @@ func NewMutexAt(a sim.Addr) *Mutex { return &Mutex{Addr: a} }
 // (used by transactions to subscribe to the lock word).
 func (l *Mutex) Locked(c *sim.Context) bool { return c.Load(l.Addr) != 0 }
 
-// cas atomically sets the lock word from 0 to 1 (a timed LOCK CMPXCHG).
-func cas01(c *sim.Context, a sim.Addr) bool {
-	c.Compute(c.Machine().Costs.Atomic)
-	old, _ := c.RMW(a, func(v uint64) uint64 {
-		if v == 0 {
-			return 1
-		}
-		return v
-	})
-	return old == 0
-}
-
-// TryLock attempts a non-blocking acquisition, as in omp_test_lock.
+// TryLock attempts a non-blocking acquisition, as in omp_test_lock: one
+// timed LOCK CMPXCHG of the word from 0 to 1.
 func (l *Mutex) TryLock(c *sim.Context) bool {
 	costs := c.Machine().Costs
 	c.Compute(costs.MutexLock - costs.Atomic)
-	if cas01(c, l.Addr) {
+	if c.SpinOn(l.Addr, true, 0, 0) {
 		c.Progress()
 		return true
 	}
@@ -64,16 +57,10 @@ func (l *Mutex) Lock(c *sim.Context) {
 	costs := c.Machine().Costs
 	prev := c.SetPhase(sim.PhaseSpin)
 	c.Compute(costs.MutexLock - costs.Atomic)
-	for spin := 0; ; spin++ {
-		if cas01(c, l.Addr) {
-			c.Progress()
-			c.SetPhase(prev)
-			return
-		}
-		if spin >= costs.MutexSpinTries {
-			break
-		}
-		c.Compute(costs.MutexSpin)
+	if c.SpinOn(l.Addr, true, costs.MutexSpin, costs.MutexSpinTries) {
+		c.Progress()
+		c.SetPhase(prev)
+		return
 	}
 	// Park. Enqueue before the (yielding) futex charge so a racing Unlock
 	// sees us; the wake-pending protocol in sim.Block covers the window.
@@ -155,23 +142,17 @@ func NewSpinLock(mem *sim.Memory) *SpinLock {
 func (l *SpinLock) Lock(c *sim.Context) {
 	costs := c.Machine().Costs
 	prev := c.SetPhase(sim.PhaseSpin)
-	for {
-		// Test-and-test-and-set: spin on a plain read, then attempt the RMW.
-		if c.Load(l.Addr) == 0 && cas01(c, l.Addr) {
-			c.Progress()
-			c.SetPhase(prev)
-			return
-		}
+	// Test-and-test-and-set: spin on a plain read, then attempt the CAS.
+	for !(c.SpinOn(l.Addr, false, costs.MutexSpin, math.MaxInt) && c.SpinOn(l.Addr, true, 0, 0)) {
 		c.Compute(costs.MutexSpin)
 	}
+	c.Progress()
+	c.SetPhase(prev)
 }
 
 // TryLock attempts a single acquisition without spinning.
 func (l *SpinLock) TryLock(c *sim.Context) bool {
-	if c.Load(l.Addr) != 0 {
-		return false
-	}
-	if cas01(c, l.Addr) {
+	if c.SpinOn(l.Addr, false, 0, 0) && c.SpinOn(l.Addr, true, 0, 0) {
 		c.Progress()
 		return true
 	}

@@ -296,9 +296,7 @@ func (s *System) elide(c *sim.Context, body func(Tx)) {
 			// livelock — exhausting the retry budget instead sends this
 			// thread into the fair fallback queue.
 			prev := c.SetPhase(sim.PhaseSpin)
-			for spins := 0; c.Load(lockAddr) != 0 && spins < 4*costs.MutexSpinTries; spins++ {
-				c.Compute(costs.MutexSpin)
-			}
+			c.SpinOn(lockAddr, false, costs.MutexSpin, 4*costs.MutexSpinTries)
 			c.SetPhase(prev)
 		case htm.Conflict:
 			// Brief randomized backoff to break symmetric conflict cycles.
