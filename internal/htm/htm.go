@@ -144,6 +144,14 @@ func (m *dirMask) empty() bool {
 	return or == 0
 }
 
+// Starting sizes of the conflict directory and of each transaction's write
+// buffer. Both grow on demand; a write buffer that grew past four times its
+// start shrinks back at the thread's next Begin.
+const (
+	lineDirMinSize  = 256
+	writeBufMinSize = 16
+)
+
 func dirReaderBit(id int) (int, uint64) { return id >> 6, 1 << uint(id&63) }
 func dirWriterBit(id int) (int, uint64) { return dirWords + id>>6, 1 << uint(id&63) }
 
@@ -154,8 +162,8 @@ type Runtime struct {
 	active []*Txn // indexed by thread id; grown on demand up to htmMaxThreads
 	pool   []*Txn // recycled per-thread Txn objects (Begin is hot; see Begin)
 	nTxns  int
-	lines  lineDir          // conflict directory: line → reader/writer masks
-	ovf    [dirWords]uint64 // thread ids whose read set overflowed to Bloom
+	lines  sim.AddrMap[dirMask] // conflict directory: line → reader/writer masks
+	ovf    [dirWords]uint64     // thread ids whose read set overflowed to Bloom
 	Stats  Stats
 
 	// model is the capacity/conflict design resolved from sim.Config.HTMModel
@@ -207,7 +215,7 @@ func New(m *sim.Machine) *Runtime {
 	if !model.RequesterWins() {
 		r.conflict = r.conflictLoses
 	}
-	r.lines.init(lineDirMinSize)
+	r.lines.Init(lineDirMinSize)
 	// ConflictHook is toggled by Begin/cleanup so it is installed only while
 	// a transaction is in flight: the hook fires on every timed access in
 	// the machine, and outside transactional phases (serial regions, lock
@@ -250,7 +258,7 @@ type Txn struct {
 	// are append-only and duplicate-free by construction.
 	readLines  []sim.Addr
 	writeLines []sim.Addr
-	writeBuf   wordMap // word address -> speculative value
+	writeBuf   sim.AddrMap[uint64] // word address -> speculative value
 	bloom      bloom
 	frees      []pendingFree // deferred until commit (TM_FREE discipline)
 	victim     []sim.Addr    // victim-buffer model: spilled written lines (unused otherwise)
@@ -313,13 +321,13 @@ func (r *Runtime) Begin(c *sim.Context) *Txn {
 	t := r.pool[c.ID()]
 	if t == nil {
 		t = &Txn{}
-		t.writeBuf.init(wordMapMinSize)
+		t.writeBuf.Init(writeBufMinSize)
 		r.pool[c.ID()] = t
 	} else {
 		poolCheckTxn(r, t)
 		t.readLines = t.readLines[:0]
 		t.writeLines = t.writeLines[:0]
-		t.writeBuf.reset()
+		t.writeBuf.Reset()
 		t.frees = t.frees[:0]
 		t.victim = t.victim[:0]
 		t.bloom = bloom{}
@@ -377,18 +385,19 @@ func (t *Txn) finishAbort() {
 // event; registering first is the conservative equivalent).
 func (t *Txn) Load(a sim.Addr) uint64 {
 	t.check()
-	if t.writeBuf.n != 0 {
-		if v, ok := t.writeBuf.get(a); ok {
+	if t.writeBuf.Len() != 0 {
+		if i := t.writeBuf.Find(a); i >= 0 {
 			// Store-to-load forwarding from the speculative buffer.
 			t.ctx.Compute(t.rt.m.Costs.TxAccess)
-			return v
+			return t.writeBuf.Vals[i]
 		}
 	}
 	line := sim.LineOf(a)
 	w, bit := dirReaderBit(t.ctx.ID())
-	if i := t.rt.lines.find(line); i < 0 || t.rt.lines.vals[i][w]&bit == 0 {
+	if i := t.rt.lines.Find(line); i < 0 || t.rt.lines.Vals[i][w]&bit == 0 {
 		if !t.bloom.has(line) {
-			t.rt.lines.vals[t.rt.lines.place(line)][w] |= bit
+			j, _ := t.rt.lines.Place(line)
+			t.rt.lines.Vals[j][w] |= bit
 			t.readLines = append(t.readLines, line)
 			t.rt.model.Track(t, line, false)
 		}
@@ -406,14 +415,16 @@ func (t *Txn) Store(a sim.Addr, v uint64) {
 	t.check()
 	line := sim.LineOf(a)
 	w, bit := dirWriterBit(t.ctx.ID())
-	if i := t.rt.lines.find(line); i < 0 || t.rt.lines.vals[i][w]&bit == 0 {
-		t.rt.lines.vals[t.rt.lines.place(line)][w] |= bit
+	if i := t.rt.lines.Find(line); i < 0 || t.rt.lines.Vals[i][w]&bit == 0 {
+		j, _ := t.rt.lines.Place(line)
+		t.rt.lines.Vals[j][w] |= bit
 		t.writeLines = append(t.writeLines, line)
 		t.rt.model.Track(t, line, true)
 	}
 	t.ctx.TxAccess(a, true)
 	t.check()
-	t.writeBuf.put(a, v)
+	i, _ := t.writeBuf.Place(a)
+	t.writeBuf.Vals[i] = v
 }
 
 // Commit attempts to commit (XEND). On success all buffered writes become
@@ -436,9 +447,9 @@ func (t *Txn) Commit() {
 		// are not cache-backed at all (strict).
 		t.rt.model.CheckCommit(t)
 	}
-	for i, a := range t.writeBuf.keys {
+	for i, a := range t.writeBuf.Keys {
 		if a != 0 {
-			t.rt.m.Mem.WriteRaw(a, t.writeBuf.vals[i])
+			t.rt.m.Mem.WriteRaw(a, t.writeBuf.Vals[i])
 		}
 	}
 	for _, f := range t.frees {
@@ -488,19 +499,19 @@ func (t *Txn) cleanup() {
 	ww, wbit := dirWriterBit(id)
 	for _, line := range t.readLines {
 		r.m.ClearTxMarks(t.ctx, line)
-		if i := r.lines.find(line); i >= 0 {
-			v := &r.lines.vals[i]
+		if i := r.lines.Find(line); i >= 0 {
+			v := &r.lines.Vals[i]
 			if v[rw] &^= rbit; v.empty() {
-				r.lines.remove(i)
+				r.lines.Remove(i)
 			}
 		}
 	}
 	for _, line := range t.writeLines {
 		r.m.ClearTxMarks(t.ctx, line)
-		if i := r.lines.find(line); i >= 0 {
-			v := &r.lines.vals[i]
+		if i := r.lines.Find(line); i >= 0 {
+			v := &r.lines.Vals[i]
 			if v[ww] &^= wbit; v.empty() {
-				r.lines.remove(i)
+				r.lines.Remove(i)
 			}
 		}
 	}
@@ -535,8 +546,8 @@ func (r *Runtime) conflictHook(c *sim.Context, line sim.Addr, write bool) {
 		return
 	}
 	selfW, selfBit := c.ID()>>6, uint64(1)<<uint(c.ID()&63)
-	if i := r.lines.find(line); i >= 0 {
-		v := &r.lines.vals[i]
+	if i := r.lines.Find(line); i >= 0 {
+		v := &r.lines.Vals[i]
 		for w := 0; w < dirWords; w++ {
 			victims := v[dirWords+w] // writers
 			if write {
@@ -605,8 +616,8 @@ func (r *Runtime) conflictLoses(c *sim.Context, line sim.Addr, write bool) {
 // differ only in who aborts.
 func (r *Runtime) lineHeld(self int, line sim.Addr, write bool) bool {
 	selfW, selfBit := self>>6, uint64(1)<<uint(self&63)
-	if i := r.lines.find(line); i >= 0 {
-		v := &r.lines.vals[i]
+	if i := r.lines.Find(line); i >= 0 {
+		v := &r.lines.Vals[i]
 		for w := 0; w < dirWords; w++ {
 			holders := v[dirWords+w] // writers
 			if write {

@@ -199,10 +199,10 @@ func (r *Runtime) demoteRead(t *Txn, line sim.Addr) {
 		return
 	}
 	rw, rbit := dirReaderBit(owner.ID())
-	if i := r.lines.find(line); i >= 0 && r.lines.vals[i][rw]&rbit != 0 {
-		v := &r.lines.vals[i]
+	if i := r.lines.Find(line); i >= 0 && r.lines.Vals[i][rw]&rbit != 0 {
+		v := &r.lines.Vals[i]
 		if v[rw] &^= rbit; v.empty() {
-			r.lines.remove(i)
+			r.lines.Remove(i)
 		}
 		// Drop the line from the cleanup list; the order of readLines is
 		// never observable, so a swap-remove suffices.
@@ -225,7 +225,7 @@ func (r *Runtime) demoteRead(t *Txn, line sim.Addr) {
 func (r *Runtime) checkCommitDir(t *Txn) {
 	w, bit := dirWriterBit(t.ctx.ID())
 	for _, line := range t.writeLines {
-		if i := r.lines.find(line); i < 0 || r.lines.vals[i][w]&bit == 0 {
+		if i := r.lines.Find(line); i < 0 || r.lines.Vals[i][w]&bit == 0 {
 			panic(&sim.InvariantError{Point: "htm-writeset", Thread: t.ctx.ID(), Clock: t.ctx.Now(),
 				Detail: fmt.Sprintf("committing with write-set line %#x missing from the conflict directory", line)})
 		}
@@ -243,7 +243,7 @@ func (r *Runtime) checkCommitDir(t *Txn) {
 func (r *Runtime) checkCommitL1(t *Txn, also func(sim.Addr) bool) {
 	w, bit := dirWriterBit(t.ctx.ID())
 	for _, line := range t.writeLines {
-		if i := r.lines.find(line); i < 0 || r.lines.vals[i][w]&bit == 0 {
+		if i := r.lines.Find(line); i < 0 || r.lines.Vals[i][w]&bit == 0 {
 			panic(&sim.InvariantError{Point: "htm-writeset", Thread: t.ctx.ID(), Clock: t.ctx.Now(),
 				Detail: fmt.Sprintf("committing with write-set line %#x missing from the conflict directory", line)})
 		}

@@ -19,8 +19,8 @@ func poolCheckTxn(r *Runtime, t *Txn) {
 	id := t.ctx.ID()
 	rw, rbit := dirReaderBit(id)
 	ww, wbit := dirWriterBit(id)
-	for i, k := range r.lines.keys {
-		if k != 0 && (r.lines.vals[i][rw]&rbit != 0 || r.lines.vals[i][ww]&wbit != 0) {
+	for i, k := range r.lines.Keys {
+		if k != 0 && (r.lines.Vals[i][rw]&rbit != 0 || r.lines.Vals[i][ww]&wbit != 0) {
 			panic(fmt.Sprintf("htm: recycled txn for thread %d still tracked on line %#x in the conflict directory", id, k))
 		}
 	}

@@ -83,9 +83,6 @@ func NewSharded(m *sim.Machine, mode core.LockMode, domains int) *Stack {
 	return st
 }
 
-// Domains reports the stack's lock-domain count.
-func (st *Stack) Domains() int { return len(st.domains) }
-
 // Endpoint is the receive side of a one-way channel: a socket buffer, its
 // lock region, and its monitor conditions.
 type Endpoint struct {

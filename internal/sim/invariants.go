@@ -97,7 +97,7 @@ func (m *Machine) verifyPresence() error {
 			}
 		}
 	}
-	for i, k := range m.pres.keys {
+	for i, k := range m.pres.Keys {
 		if k == 0 {
 			continue
 		}
@@ -110,9 +110,9 @@ func (m *Machine) verifyPresence() error {
 				}
 			}
 		}
-		if want != m.pres.vals[i] {
+		if want != m.pres.Vals[i] {
 			return &InvariantError{Point: "l1-presence",
-				Detail: fmt.Sprintf("presence directory entry for line %#x claims cores %#x, tags say %#x", k, m.pres.vals[i], want)}
+				Detail: fmt.Sprintf("presence directory entry for line %#x claims cores %#x, tags say %#x", k, m.pres.Vals[i], want)}
 		}
 	}
 	return nil

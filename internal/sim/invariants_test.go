@@ -183,7 +183,7 @@ func TestPresenceDirectoryAtScale(t *testing.T) {
 	line := func(core, k int) Addr {
 		return arr + Addr((rows[core*cacheWays+k/cacheSets]*cacheSets+k%cacheSets)*LineSize)
 	}
-	if got := len(m.pres.keys); got != 1<<15 {
+	if got := len(m.pres.Keys); got != 1<<15 {
 		t.Fatalf("directory starts with %d slots, want %d", got, 1<<15)
 	}
 
@@ -192,9 +192,9 @@ func TestPresenceDirectoryAtScale(t *testing.T) {
 			c.Load(line(c.ID(), k))
 		}
 	})
-	if m.pres.n != n*perCache || len(m.pres.keys) != 1<<16 {
+	if m.pres.Len() != n*perCache || len(m.pres.Keys) != 1<<16 {
 		t.Fatalf("after the fill: %d entries in %d slots, want %d in %d (one growth)",
-			m.pres.n, len(m.pres.keys), n*perCache, 1<<16)
+			m.pres.Len(), len(m.pres.Keys), n*perCache, 1<<16)
 	}
 	if err := m.VerifyCaches(); err != nil {
 		t.Fatalf("audit after the fill: %v", err)
@@ -213,12 +213,12 @@ func TestPresenceDirectoryAtScale(t *testing.T) {
 	}
 
 	m.FlushCaches()
-	if m.pres.n != 0 {
-		t.Fatalf("directory holds %d entries after FlushCaches", m.pres.n)
+	if m.pres.Len() != 0 {
+		t.Fatalf("directory holds %d entries after FlushCaches", m.pres.Len())
 	}
-	for i, k := range m.pres.keys {
-		if k != 0 || m.pres.vals[i] != 0 {
-			t.Fatalf("slot %d holds line %#x (cores %#x) after FlushCaches", i, k, m.pres.vals[i])
+	for i, k := range m.pres.Keys {
+		if k != 0 || m.pres.Vals[i] != 0 {
+			t.Fatalf("slot %d holds line %#x (cores %#x) after FlushCaches", i, k, m.pres.Vals[i])
 		}
 	}
 	if err := m.VerifyCaches(); err != nil {

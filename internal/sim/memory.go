@@ -205,9 +205,6 @@ func (m *Memory) Free(a Addr, nBytes int) {
 	m.free[nBytes] = append(m.free[nBytes], a)
 }
 
-// Footprint returns the number of bytes allocated so far.
-func (m *Memory) Footprint() int { return int(m.brk) }
-
 // Intern registers a host-language object and returns its handle (>= 1).
 func (m *Memory) Intern(v any) uint64 {
 	m.objs = append(m.objs, v)

@@ -17,6 +17,10 @@ import (
 
 const orecCount = 1 << 16 // stripes
 
+// writeSetMinSize is each attempt's starting write-set size; a write set
+// that grew past four times it shrinks back at the thread's next attempt.
+const writeSetMinSize = 16
+
 // orec is one ownership record: a versioned write-lock.
 type orec struct {
 	version uint64
@@ -122,10 +126,10 @@ type Txn struct {
 	ctx *sim.Context
 	rv  uint64
 
-	readSet  []int      // orec indices
-	writeSet wordMap    // word address -> buffered value (lazy versioning)
-	wOrder   []sim.Addr // deterministic write-back order
-	locks    []int      // commit-time scratch: sorted unique write-set orecs
+	readSet  []int               // orec indices
+	writeSet sim.AddrMap[uint64] // word address -> buffered value (lazy versioning)
+	wOrder   []sim.Addr          // deterministic write-back order
+	locks    []int               // commit-time scratch: sorted unique write-set orecs
 	frees    []pendingFree
 }
 
@@ -143,10 +147,10 @@ func (t *Txn) Free(a sim.Addr, size int) {
 // Load performs an instrumented transactional read with pre/post orec
 // validation, aborting on inconsistency (the "invisible reads" protocol).
 func (t *Txn) Load(a sim.Addr) uint64 {
-	if t.writeSet.n != 0 {
-		if v, ok := t.writeSet.get(a); ok {
+	if t.writeSet.Len() != 0 {
+		if i := t.writeSet.Find(a); i >= 0 {
 			t.ctx.Compute(t.s.m.Costs.TL2Read)
-			return v
+			return t.writeSet.Vals[i]
 		}
 	}
 	t.ctx.Compute(t.s.m.Costs.TL2Read)
@@ -172,7 +176,9 @@ func (t *Txn) Load(a sim.Addr) uint64 {
 // Store buffers an instrumented transactional write (lazy versioning).
 func (t *Txn) Store(a sim.Addr, v uint64) {
 	t.ctx.Compute(t.s.m.Costs.TL2Write)
-	if t.writeSet.put(a, v) {
+	i, isNew := t.writeSet.Place(a)
+	t.writeSet.Vals[i] = v
+	if isNew {
 		t.wOrder = append(t.wOrder, a)
 	}
 }
@@ -188,7 +194,7 @@ func (t *Txn) abort() {
 func (t *Txn) commit() {
 	c := t.ctx
 	costs := t.s.m.Costs
-	if t.writeSet.n == 0 {
+	if t.writeSet.Len() == 0 {
 		// Read-only transactions commit without validation in TL2.
 		c.Compute(costs.TL2Commit)
 		if h := t.s.CommitHook; h != nil {
@@ -269,8 +275,7 @@ func (t *Txn) commit() {
 	// Write back and release.
 	c.Compute(costs.TL2Commit)
 	for _, a := range t.wOrder {
-		v, _ := t.writeSet.get(a)
-		c.Store(a, v)
+		c.Store(a, t.writeSet.Vals[t.writeSet.Find(a)])
 	}
 	for _, oi := range locks {
 		o := &t.s.orecs[oi]
@@ -345,11 +350,11 @@ func (s *TL2) try(c *sim.Context, body func(*Txn)) (committed bool) {
 	t := s.pool[c.ID()]
 	if t == nil {
 		t = &Txn{s: s}
-		t.writeSet.init(wordMapMinSize)
+		t.writeSet.Init(writeSetMinSize)
 		s.pool[c.ID()] = t
 	} else {
 		t.readSet = t.readSet[:0]
-		t.writeSet.reset()
+		t.writeSet.Reset()
 		t.wOrder = t.wOrder[:0]
 		t.frees = t.frees[:0]
 	}

@@ -133,7 +133,7 @@ func NewSystem(m *sim.Machine, mode Mode) *System {
 		Mode:       mode,
 		MaxRetries: 5,
 		GLock:      ssync.NewMutex(m.Mem),
-		cur:        make([]Tx, 64),
+		cur:        make([]Tx, m.MaxThreads()),
 	}
 	switch mode {
 	case TSX:

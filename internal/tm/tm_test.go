@@ -31,6 +31,27 @@ func TestAllModesCounterCorrect(t *testing.T) {
 	}
 }
 
+// TestAllModesBeyond64Threads runs a 96-thread region on a 2×16×4 machine:
+// the per-thread nesting slots must cover every hardware thread, not 64.
+func TestAllModesBeyond64Threads(t *testing.T) {
+	const n = 96
+	for _, mode := range []Mode{SGL, TL2, TSX} {
+		cfg := sim.DefaultConfig()
+		cfg.Sockets, cfg.Cores, cfg.ThreadsPerCore = 2, 16, 4
+		m := sim.New(cfg)
+		s := NewSystem(m, mode)
+		a := m.Mem.AllocLine(8)
+		m.Run(n, func(c *sim.Context) {
+			s.Atomic(c, func(tx Tx) {
+				tx.Store(a, tx.Load(a)+1)
+			})
+		})
+		if got := m.Mem.ReadRaw(a); got != n {
+			t.Errorf("%v: counter = %d, want %d", mode, got, n)
+		}
+	}
+}
+
 func TestRawModeNoLocking(t *testing.T) {
 	m, s := sys(Raw)
 	a := m.Mem.AllocLine(8)
