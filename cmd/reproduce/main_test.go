@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"tsxhpc/internal/experiments"
 	"tsxhpc/internal/runopts"
 )
 
@@ -182,6 +184,25 @@ func TestRunWarmColdFullCatalog(t *testing.T) {
 	// 10x leaves generous headroom for a noisy CI host.
 	if warmRep.TotalSeconds <= 0 || warmRep.TotalSeconds > coldRep.TotalSeconds/10 {
 		t.Fatalf("warm run not >=10x faster: cold %.3fs, warm %.3fs", coldRep.TotalSeconds, warmRep.TotalSeconds)
+	}
+
+	// The paper's Figure 2, Table 1 and A6 claims, judged on the cells the
+	// cold run computed: a suite over the same store serves every one.
+	o := runopts.Options{Cache: cache}
+	suite, _, cleanup := o.Setup(io.Discard)
+	defer cleanup()
+	claims, err := suite.Claims()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := suite.E.Stats().Executed; n != 0 {
+		t.Fatalf("claims simulated %d cells, want all served from the store", n)
+	}
+	for _, c := range claims {
+		t.Logf("%s: %v — %s", c.ID, c.Outcome, c.Detail)
+		if c.Outcome == experiments.Fails {
+			t.Errorf("claim %s fails: %s\n%s", c.ID, c.Target, c.Detail)
+		}
 	}
 }
 
