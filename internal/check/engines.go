@@ -131,8 +131,9 @@ type EngineResult struct {
 // For lock engines and HTM the commit hook fires at the serialization point
 // itself, so commit assigns stamps from a counter. TL2 is different: its
 // serial order is write-version order, and the wv acquisition is separated
-// from the commit hook by scheduling points (the validation loop), so two
-// commits can hook in the opposite order of their versions. There the
+// from the commit hook by the read-set validation charge, a Compute with
+// scheduling points, so two commits can hook in the opposite order of their
+// versions. There the
 // engine's SerializeHook deposits the wv via stamp() — tentatively, since
 // validation can still abort the attempt — and commit archives whatever
 // stamp the committing attempt deposited last.

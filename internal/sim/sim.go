@@ -1011,7 +1011,8 @@ func (c *Context) Syscall(extra uint64) {
 }
 
 // access performs one timed memory access to address a: it charges the cache
-// hierarchy cost, maintains the L1 models, and triggers conflict detection.
+// hierarchy cost plus pre cycles of computation issued with the access (as
+// one event), maintains the L1 models, and triggers conflict detection.
 // When tx is true the line is marked as transactional state in the L1
 // (read or write set member according to write).
 //
@@ -1022,7 +1023,7 @@ func (c *Context) Syscall(extra uint64) {
 // subscribe to the line during the yield window and miss the conflict —
 // e.g. read a lock word as free while a fallback acquisition's CAS is
 // mid-flight, breaking lock elision's mutual exclusion.
-func (c *Context) access(a Addr, write, tx bool) {
+func (c *Context) access(pre uint64, a Addr, write, tx bool) {
 	line := LineOf(a)
 	inv := c.m.Cfg.Invariants
 	if inv {
@@ -1033,8 +1034,7 @@ func (c *Context) access(a Addr, write, tx bool) {
 		// (a model bug). See Machine.AccessInFlight.
 		c.pendingLine = line
 	}
-	cost := c.cache.access(c, line, write, tx)
-	c.charge(cost)
+	c.charge(pre + c.cache.access(c, line, write, tx))
 	c.maybeYield()
 	if c.m.ConflictHook != nil {
 		c.m.ConflictHook(c, line, write)
@@ -1046,7 +1046,16 @@ func (c *Context) access(a Addr, write, tx bool) {
 
 // Load performs a timed non-transactional read of the word at a.
 func (c *Context) Load(a Addr) uint64 {
-	c.access(a, false, false)
+	c.access(0, a, false, false)
+	return c.m.Mem.read(a)
+}
+
+// LoadAfter is Compute(pre) then Load(a) in one event: the pre cycles and
+// the access cost are one charge with one scheduling point. It models
+// instrumentation that issues with its read, such as a TL2 read barrier,
+// so pre is not split into Compute quanta and should be short.
+func (c *Context) LoadAfter(pre uint64, a Addr) uint64 {
+	c.access(pre, a, false, false)
 	return c.m.Mem.read(a)
 }
 
@@ -1056,7 +1065,7 @@ func (c *Context) Load(a Addr) uint64 {
 // write set (this is exactly how a non-transactional lock acquisition aborts
 // the transactions that elided that lock).
 func (c *Context) Store(a Addr, v uint64) {
-	c.access(a, true, false)
+	c.access(0, a, true, false)
 	c.m.Mem.write(a, v)
 }
 
@@ -1065,7 +1074,7 @@ func (c *Context) Store(a Addr, v uint64) {
 // intervening scheduling point, making the operation indivisible exactly
 // like a LOCK-prefixed instruction. It returns the old and new values.
 func (c *Context) RMW(a Addr, f func(uint64) uint64) (old, new uint64) {
-	c.access(a, true, false)
+	c.access(0, a, true, false)
 	old = c.m.Mem.read(a)
 	new = f(old)
 	c.m.Mem.write(a, new)
@@ -1076,7 +1085,7 @@ func (c *Context) RMW(a Addr, f func(uint64) uint64) (old, new uint64) {
 // without touching memory contents; package htm uses it and manages the
 // write buffer itself.
 func (c *Context) TxAccess(a Addr, write bool) {
-	c.access(a, write, true)
+	c.access(0, a, write, true)
 }
 
 // The run queue is a min-winner tournament tree over packed keys. Keys are

@@ -23,6 +23,32 @@ func TestRunSingleThreadCharges(t *testing.T) {
 	}
 }
 
+// TestLoadAfterIsOneCharge: LoadAfter(pre, a) costs what Compute(pre) and
+// Load(a) cost apart, returns the word, and is a single event.
+func TestLoadAfterIsOneCharge(t *testing.T) {
+	m := New(DefaultConfig())
+	a, b := m.Mem.AllocLine(8), m.Mem.AllocLine(8) // both cold: one miss each
+	m.Mem.write(a, 7)
+	var merged, apart uint64
+	res := m.Run(1, func(c *Context) {
+		t0 := c.Now()
+		if v := c.LoadAfter(13, a); v != 7 {
+			t.Errorf("LoadAfter read %d, want 7", v)
+		}
+		merged = c.Now() - t0
+		t0 = c.Now()
+		c.Compute(13)
+		c.Load(b)
+		apart = c.Now() - t0
+	})
+	if merged != apart || merged != 13+m.Costs.Miss {
+		t.Fatalf("LoadAfter cost %d, Compute+Load %d, want %d", merged, apart, 13+m.Costs.Miss)
+	}
+	if res.Events != 1+2 {
+		t.Fatalf("events = %d, want 3 (LoadAfter 1, Compute+Load 2)", res.Events)
+	}
+}
+
 func TestRunMakespanIsMax(t *testing.T) {
 	m := New(DefaultConfig())
 	res := m.Run(4, func(c *Context) {

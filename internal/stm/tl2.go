@@ -56,11 +56,11 @@ type TL2 struct {
 	// CommitHook, when set, is invoked once per committed transaction, for a
 	// writer after read-set validation succeeds (the transaction can no
 	// longer abort) and before write-back. Note this instant is NOT the
-	// serialization point: the validation loop contains scheduling points, so
-	// two commits can fire their hooks in the opposite order of their write
-	// versions. Callers that need the exact serial order must use
-	// SerializeHook and order by wv. The hook must not perform timed
-	// simulated work.
+	// serialization point: the read-set validation charge (one Compute before
+	// the orec checks) contains scheduling points, so two commits can fire
+	// their hooks in the opposite order of their write versions. Callers
+	// that need the exact serial order must use SerializeHook and order by
+	// wv. The hook must not perform timed simulated work.
 	CommitHook func(c *sim.Context)
 
 	// SerializeHook, when set, is invoked the instant a writer acquires its
@@ -146,31 +146,36 @@ func (t *Txn) Free(a sim.Addr, size int) {
 
 // Load performs an instrumented transactional read with pre/post orec
 // validation, aborting on inconsistency (the "invisible reads" protocol).
+// The barrier's instrumentation and its read are one charge: the pre-check
+// is host work on the orec, so it needs no scheduling point of its own.
 func (t *Txn) Load(a sim.Addr) uint64 {
+	read := t.s.m.Costs.TL2Read
 	if t.writeSet.Len() != 0 {
 		if i := t.writeSet.Find(a); i >= 0 {
-			t.ctx.Compute(t.s.m.Costs.TL2Read)
+			t.ctx.Compute(read)
 			return t.writeSet.Vals[i]
 		}
 	}
-	t.ctx.Compute(t.s.m.Costs.TL2Read)
 	oi := orecIdx(a)
 	o := &t.s.orecs[oi]
 	if o.owner != 0 || o.version > t.rv {
-		if p := t.s.pc; p != nil {
-			p.abortRead.Inc()
-		}
-		t.abort()
+		t.ctx.Compute(read)
+		t.abortRead()
 	}
-	v := t.ctx.Load(a)
+	v := t.ctx.LoadAfter(read, a)
 	if o.owner != 0 || o.version > t.rv {
-		if p := t.s.pc; p != nil {
-			p.abortRead.Inc()
-		}
-		t.abort()
+		t.abortRead()
 	}
 	t.readSet = append(t.readSet, oi)
 	return v
+}
+
+// abortRead aborts on a failed Load pre- or post-check.
+func (t *Txn) abortRead() {
+	if p := t.s.pc; p != nil {
+		p.abortRead.Inc()
+	}
+	t.abort()
 }
 
 // Store buffers an instrumented transactional write (lazy versioning).
@@ -223,13 +228,14 @@ func (t *Txn) commit() {
 	}
 	locks = uniq
 	t.locks = locks
-	acquired := 0
+	// The lock loop is one charge; the orecs are host-side, so checking
+	// and acquiring them after it needs no scheduling point per orec.
 	id := c.ID() + 1
-	for _, oi := range locks {
-		c.Compute(costs.TL2PerOrec)
+	c.Compute(uint64(len(locks)) * costs.TL2PerOrec)
+	for i, oi := range locks {
 		o := &t.s.orecs[oi]
 		if o.owner != 0 || o.version > t.rv {
-			for _, li := range locks[:acquired] {
+			for _, li := range locks[:i] {
 				t.s.orecs[li].owner = 0
 			}
 			if p := t.s.pc; p != nil {
@@ -238,7 +244,6 @@ func (t *Txn) commit() {
 			t.abort()
 		}
 		o.owner = id
-		acquired++
 	}
 	// Advance the global version clock.
 	c.Compute(costs.Atomic)
@@ -251,9 +256,11 @@ func (t *Txn) commit() {
 	if h := t.s.SerializeHook; h != nil {
 		h(c, wv)
 	}
-	// Validate the read set.
+	// Validate the read set: one charge for the whole walk, then the checks.
+	if n := len(t.readSet); n > 0 {
+		c.Compute(uint64(n) * costs.TL2PerRead)
+	}
 	for _, oi := range t.readSet {
-		c.Compute(costs.TL2PerRead)
 		o := &t.s.orecs[oi]
 		if (o.owner != 0 && o.owner != id) || o.version > t.rv {
 			for _, li := range locks {

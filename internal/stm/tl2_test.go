@@ -258,3 +258,104 @@ func TestFreeAndLargeWriteSet(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadBarrierIsOneEvent: on one thread, a Load that misses the write
+// set is one simulator event, and it costs what the barrier's
+// instrumentation and a plain read cost apart (Compute(TL2Read) + Load).
+func TestLoadBarrierIsOneEvent(t *testing.T) {
+	events := func(body func(*Txn)) uint64 {
+		m, s := mach()
+		return m.Run(1, func(c *sim.Context) { s.Run(c, body) }).Events
+	}
+	m, s := mach()
+	a, b := m.Mem.AllocLine(8), m.Mem.AllocLine(8) // both cold: one miss each
+	if got := events(func(tx *Txn) { tx.Load(a) }) - events(func(*Txn) {}); got != 1 {
+		t.Fatalf("a Load adds %d events, want 1", got)
+	}
+	var barrier, apart uint64
+	m.Run(1, func(c *sim.Context) {
+		s.Run(c, func(tx *Txn) {
+			t0 := c.Now()
+			tx.Load(a)
+			barrier = c.Now() - t0
+		})
+		t0 := c.Now()
+		c.Compute(m.Costs.TL2Read)
+		c.Load(b)
+		apart = c.Now() - t0
+	})
+	if barrier != apart {
+		t.Fatalf("Load barrier costs %d cycles, Compute(TL2Read)+Load %d", barrier, apart)
+	}
+}
+
+// TestCommitChargesPerLoop: a writer's commit charges its lock loop and its
+// read-set validation as one Compute each (split only into Compute quanta),
+// not one per orec and one per read. On one thread a transaction with w
+// stores and r loads is its start, r loads, w stores, then the commit: the
+// lock charge, the clock advance, the validation charge (none for r = 0),
+// the write-back charge and w write-back stores.
+func TestCommitChargesPerLoop(t *testing.T) {
+	quanta := func(cyc uint64) uint64 { return (cyc + 159) / 160 } // Compute quanta
+	for _, tc := range []struct{ w, r int }{{1, 0}, {3, 5}, {12, 64}} {
+		m, s := mach()
+		ws := m.Mem.AllocArray(tc.w, sim.LineSize)
+		rs := m.Mem.AllocArray(tc.r+1, sim.LineSize)
+		seen := map[int]bool{}
+		for i := 0; i < tc.w; i++ {
+			seen[orecIdx(ws+sim.Addr(i*sim.LineSize))] = true
+		}
+		if len(seen) != tc.w {
+			t.Fatalf("w=%d: write addresses share orecs; pick others", tc.w)
+		}
+		res := m.Run(1, func(c *sim.Context) {
+			s.Run(c, func(tx *Txn) {
+				for i := 0; i < tc.r; i++ {
+					tx.Load(rs + sim.Addr(i*sim.LineSize))
+				}
+				for i := 0; i < tc.w; i++ {
+					tx.Store(ws+sim.Addr(i*sim.LineSize), 1)
+				}
+			})
+		})
+		w, r := uint64(tc.w), uint64(tc.r)
+		commit := quanta(w*m.Costs.TL2PerOrec) + 1 + 1 + w
+		if r > 0 {
+			commit += quanta(r * m.Costs.TL2PerRead)
+		}
+		if want := 1 + r + w + commit; res.Events != want {
+			t.Errorf("w=%d r=%d: %d events, want %d (commit %d)", tc.w, tc.r, res.Events, want, commit)
+		}
+		if s.Stats.Commits != 1 || s.Stats.Aborts != 0 {
+			t.Errorf("w=%d r=%d: stats %+v", tc.w, tc.r, s.Stats)
+		}
+	}
+}
+
+// TestAbortingLoadChargesBarrier: a Load whose orec pre-check fails still
+// pays its instrumentation before the abort: TL2Read then TL2AbortCost,
+// two events.
+func TestAbortingLoadChargesBarrier(t *testing.T) {
+	m, s := mach()
+	a := m.Mem.AllocLine(8)
+	s.orecs[orecIdx(a)].version = s.gv + 1 // written after any snapshot taken now
+	var t0 uint64
+	res := m.Run(1, func(c *sim.Context) {
+		committed := s.try(c, func(tx *Txn) {
+			t0 = c.Now()
+			tx.Load(a)
+		})
+		if committed {
+			t.Error("a Load of an orec newer than the snapshot committed")
+		}
+		if got, want := c.Now()-t0, m.Costs.TL2Read+m.Costs.TL2AbortCost; got != want {
+			t.Errorf("aborting Load charged %d cycles, want TL2Read+TL2AbortCost = %d", got, want)
+		}
+	})
+	if s.Stats.Aborts != 1 {
+		t.Fatalf("stats = %+v", s.Stats)
+	}
+	if want := uint64(1 + 2); res.Events != want { // TL2Start, then the two charges
+		t.Fatalf("%d events, want %d", res.Events, want)
+	}
+}
