@@ -23,11 +23,11 @@ func TestScaleGoldens(t *testing.T) {
 	}{
 		{"global-lock", 16, 2500, false, [4]uint64{1591401, 359137, 3840000, 1591401}},
 		{"fine-grained", 16, 2500, false, [4]uint64{1396798, 256148, 3840000, 1396798}},
-		{"tl2", 16, 2500, false, [4]uint64{1459357, 389550, 3840000, 1459357}},
+		{"tl2", 16, 2500, false, [4]uint64{1461078, 305457, 3840000, 1461078}},
 		{"tsx", 16, 2500, false, [4]uint64{1395730, 250608, 3840000, 1395730}},
 		{"global-lock", 64, 1000, false, [4]uint64{6993172, 3879351, 4096000, 6993172}},
 		{"fine-grained", 64, 1000, false, [4]uint64{365994, 243350, 4096000, 365994}},
-		{"tl2", 64, 1000, false, [4]uint64{383783, 362694, 4096000, 383783}},
+		{"tl2", 64, 1000, false, [4]uint64{384139, 286752, 4096000, 384139}},
 		{"tsx", 64, 1000, false, [4]uint64{363430, 236552, 4096000, 363430}},
 		{"tsx", 16, 2500, true, [4]uint64{1443036, 254146, 3840000, 1443036}},
 	}
