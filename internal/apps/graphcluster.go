@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"tsxhpc/internal/core"
 	"tsxhpc/internal/htm"
 	"tsxhpc/internal/sim"
 	"tsxhpc/internal/ssync"
@@ -124,6 +123,7 @@ func (w *graphCluster) Run(variant string, threads int) (Result, error) {
 			gran = 4
 		}
 		rt := htm.New(m)
+		el := tm.NewElider(rt, m, "lockset")
 		res = m.Run(threads, func(c *sim.Context) {
 			vlo := w.vertices * c.ID() / threads
 			vhi := w.vertices * (c.ID() + 1) / threads
@@ -147,7 +147,7 @@ func (w *graphCluster) Run(variant string, threads int) (Result, error) {
 					}
 					// Both lock checks of Listing 1 collapse into the
 					// single transactional begin.
-					core.ElideSet(rt, c, set, core.DefaultMaxRetries, func(tx tm.Tx) {
+					el.ElideSet(c, set, func(tx tm.Tx) {
 						for _, v := range batch {
 							update(c, tx, v)
 						}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"tsxhpc/internal/core"
 	"tsxhpc/internal/htm"
 	"tsxhpc/internal/sim"
 	"tsxhpc/internal/ssync"
@@ -114,6 +113,7 @@ func (w *nufft) Run(variant string, threads int) (Result, error) {
 		})
 	case "tsx.init", "tsx.coarsen":
 		rt := htm.New(m)
+		el := tm.NewElider(rt, m, "lockset")
 		res = m.Run(threads, func(c *sim.Context) {
 			var mine []sample
 			for i := c.ID(); i < len(samples); i += threads {
@@ -128,7 +128,7 @@ func (w *nufft) Run(variant string, threads int) (Result, error) {
 				for range batch {
 					c.Compute(sampleWork)
 				}
-				core.ElideSet(rt, c, lockSetOf(batch), core.DefaultMaxRetries, func(tx tm.Tx) {
+				el.ElideSet(c, lockSetOf(batch), func(tx tm.Tx) {
 					for _, s := range batch {
 						deposit(tx, s)
 					}

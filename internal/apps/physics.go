@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"tsxhpc/internal/core"
 	"tsxhpc/internal/htm"
 	"tsxhpc/internal/sim"
 	"tsxhpc/internal/ssync"
@@ -121,6 +120,7 @@ func (w *physics) Run(variant string, threads int) (Result, error) {
 
 	case gran > 0:
 		rt := htm.New(m)
+		el := tm.NewElider(rt, m, "lockset")
 		res = m.Run(threads, func(c *sim.Context) {
 			for it := 0; it < w.iters; it++ {
 				var mine []constraintPair
@@ -142,7 +142,7 @@ func (w *physics) Run(variant string, threads int) (Result, error) {
 					for _, p := range batch {
 						set = append(set, locks[p.a], locks[p.b])
 					}
-					core.ElideSet(rt, c, set, core.DefaultMaxRetries, func(tx tm.Tx) {
+					el.ElideSet(c, set, func(tx tm.Tx) {
 						for _, p := range batch {
 							apply(c, tx, p)
 						}

@@ -5,132 +5,8 @@ import (
 
 	"tsxhpc/internal/htm"
 	"tsxhpc/internal/sim"
-	"tsxhpc/internal/ssync"
 	"tsxhpc/internal/tm"
 )
-
-func mach() (*sim.Machine, *htm.Runtime) {
-	m := sim.New(sim.DefaultConfig())
-	return m, htm.New(m)
-}
-
-func TestElidedLockCounter(t *testing.T) {
-	m, rt := mach()
-	l := NewElidedLock(rt, m)
-	a := m.Mem.AllocLine(8)
-	const perThread = 300
-	m.Run(8, func(c *sim.Context) {
-		for i := 0; i < perThread; i++ {
-			l.Do(c, func(tx tm.Tx) {
-				tx.Store(a, tx.Load(a)+1)
-			})
-		}
-	})
-	if got := m.Mem.ReadRaw(a); got != 8*perThread {
-		t.Fatalf("counter = %d, want %d", got, 8*perThread)
-	}
-	if rt.Stats.Commits == 0 {
-		t.Fatal("nothing committed transactionally")
-	}
-}
-
-func TestElidedLockMostlyElides(t *testing.T) {
-	// Disjoint data under one lock: elision should succeed nearly always.
-	m, rt := mach()
-	l := NewElidedLock(rt, m)
-	arr := m.Mem.AllocArray(8, sim.LineSize)
-	m.Run(8, func(c *sim.Context) {
-		a := arr + sim.Addr(c.ID()*sim.LineSize)
-		for i := 0; i < 200; i++ {
-			l.Do(c, func(tx tm.Tx) { tx.Store(a, tx.Load(a)+1) })
-		}
-	})
-	total := rt.Stats.Commits + rt.Stats.TotalAborts()
-	if rate := float64(rt.Stats.TotalAborts()) / float64(total); rate > 0.05 {
-		t.Fatalf("abort rate %.2f on disjoint data, want ~0", rate)
-	}
-	if rt.Stats.Fallback > 0 {
-		t.Fatalf("fallbacks = %d, want 0", rt.Stats.Fallback)
-	}
-}
-
-func TestLockSetElision(t *testing.T) {
-	// physicsSolver's pattern: update a pair of objects under their two
-	// locks, elided by a single transactional begin.
-	m, rt := mach()
-	const nObj = 16
-	locks := make([]*ssync.Mutex, nObj)
-	for i := range locks {
-		locks[i] = ssync.NewMutex(m.Mem)
-	}
-	force := m.Mem.AllocArray(nObj, sim.LineSize)
-	const perThread = 200
-	m.Run(8, func(c *sim.Context) {
-		for i := 0; i < perThread; i++ {
-			a := c.Rand.Intn(nObj)
-			b := (a + 1 + c.Rand.Intn(nObj-1)) % nObj
-			ElideSet(rt, c, []*ssync.Mutex{locks[a], locks[b]}, DefaultMaxRetries, func(tx tm.Tx) {
-				tx.Store(force+sim.Addr(a*sim.LineSize), tx.Load(force+sim.Addr(a*sim.LineSize))+1)
-				tx.Store(force+sim.Addr(b*sim.LineSize), tx.Load(force+sim.Addr(b*sim.LineSize))+1)
-			})
-		}
-	})
-	var sum uint64
-	for i := 0; i < nObj; i++ {
-		sum += m.Mem.ReadRaw(force + sim.Addr(i*sim.LineSize))
-	}
-	if sum != 8*perThread*2 {
-		t.Fatalf("total updates = %d, want %d", sum, 8*perThread*2)
-	}
-}
-
-func TestLockSetFallbackOrderAvoidsDeadlock(t *testing.T) {
-	// Force constant fallback (syscall in body) with opposite lock orders:
-	// the sorted fallback acquisition must not deadlock.
-	m, rt := mach()
-	l1 := ssync.NewMutex(m.Mem)
-	l2 := ssync.NewMutex(m.Mem)
-	a := m.Mem.AllocLine(8)
-	m.Run(2, func(c *sim.Context) {
-		set := []*ssync.Mutex{l1, l2}
-		if c.ID() == 1 {
-			set = []*ssync.Mutex{l2, l1}
-		}
-		for i := 0; i < 50; i++ {
-			ElideSet(rt, c, set, DefaultMaxRetries, func(tx tm.Tx) {
-				tx.Ctx().Syscall(10) // always abort => always fall back
-				tx.Store(a, tx.Load(a)+1)
-			})
-		}
-	})
-	if got := m.Mem.ReadRaw(a); got != 100 {
-		t.Fatalf("counter = %d, want 100", got)
-	}
-	if rt.Stats.Fallback != 100 {
-		t.Fatalf("fallbacks = %d, want 100", rt.Stats.Fallback)
-	}
-}
-
-func TestElideSetRespectsHeldMemberLock(t *testing.T) {
-	m, rt := mach()
-	mu := ssync.NewMutex(m.Mem)
-	a := m.Mem.AllocLine(8)
-	m.Run(2, func(c *sim.Context) {
-		if c.ID() == 0 {
-			mu.Lock(c)
-			c.Compute(30000)
-			c.Store(a, 1)
-			mu.Unlock(c)
-			return
-		}
-		c.Compute(500)
-		Elide(rt, c, mu, DefaultMaxRetries, func(tx tm.Tx) {
-			if tx.Load(a) != 1 {
-				t.Error("elided section ran concurrently with lock holder")
-			}
-		})
-	})
-}
 
 func TestDoCoarsenedBatches(t *testing.T) {
 	m := sim.New(sim.DefaultConfig())

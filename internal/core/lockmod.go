@@ -7,6 +7,7 @@ import (
 	"tsxhpc/internal/sim"
 	"tsxhpc/internal/ssync"
 	"tsxhpc/internal/stm"
+	"tsxhpc/internal/tm"
 )
 
 // LockMode selects the locking-module implementation for a large-scale
@@ -84,7 +85,7 @@ type LockModule struct {
 // instance all the module's regions share (one global version clock and orec
 // table, as TL2 prescribes).
 func NewLockModule(m *sim.Machine, mode LockMode) *LockModule {
-	lm := &LockModule{M: m, Mode: mode, MaxRetries: DefaultMaxRetries}
+	lm := &LockModule{M: m, Mode: mode, MaxRetries: tm.DefaultMaxRetries}
 	if mode.Elides() {
 		lm.RT = htm.New(m)
 	}
@@ -438,7 +439,7 @@ func (r *Region) doElided(c *sim.Context, body func(CS)) {
 		switch cause {
 		case htm.LockBusy:
 			attempt++
-			// Bounded wait (see tm.System.elide): an unbounded spin can
+			// Bounded wait (see tm.Elider): an unbounded spin can
 			// livelock against a steady stream of fallback lock hand-offs.
 			c.SpinOn(r.mu.Addr, false, costs.MutexSpin, 4*costs.MutexSpinTries)
 		case htm.Conflict:

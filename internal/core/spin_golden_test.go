@@ -13,7 +13,7 @@ import (
 )
 
 // TestSpinGoldensLockBusy pins the schedule of the lock-busy waits in
-// lockset elision (ElideSet over two locks) and in the locking module's
+// lockset elision (tm.Elider.ElideSet over two locks) and in the locking module's
 // elided regions: every charge is folded into a hash through the TickHook
 // (thread id, clock before the charge, requested cycles) with seeded jitter
 // injected, as internal/ssync's spin goldens do. Regions that make a system
@@ -71,9 +71,10 @@ func TestSpinGoldensLockBusy(t *testing.T) {
 	t.Run("lockset", func(t *testing.T) {
 		run(t, func(m *sim.Machine) (func(*sim.Context, sim.Addr, sim.Addr, bool, uint64), *htm.Runtime) {
 			rt := htm.New(m)
+			el := tm.NewElider(rt, m, "lockset")
 			locks := []*ssync.Mutex{ssync.NewMutex(m.Mem), ssync.NewMutex(m.Mem)}
 			return func(c *sim.Context, i, j sim.Addr, sys bool, work uint64) {
-				ElideSet(rt, c, locks, DefaultMaxRetries, func(tx tm.Tx) {
+				el.ElideSet(c, locks, func(tx tm.Tx) {
 					tx.Store(i, tx.Load(i)+1)
 					if sys {
 						tx.Ctx().Syscall(0)

@@ -13,9 +13,16 @@
 //
 // A fourth scheme, Raw, executes regions with no synchronization at all and
 // exists for single-threaded serial baselines.
+//
+// The TSX scheme's retry policy is an Elider, which the workloads of Figures
+// 4 and 5 also call for lockset elision (Section 5.2.1): one transactional
+// begin replacing the acquisition of a whole set of locks.
 package tm
 
 import (
+	"cmp"
+	"slices"
+
 	"tsxhpc/internal/htm"
 	"tsxhpc/internal/probe"
 	"tsxhpc/internal/sim"
@@ -99,19 +106,18 @@ type System struct {
 	// instant regardless of mode.
 	commitHook func(*sim.Context)
 
-	// pc holds the elision-policy probe handles (nil when the machine
-	// carries no probe set): retry depth per region, fallback acquisitions,
-	// and fallback-lock occupancy for the single global lock site.
-	pc *siteProbes
+	// el elides the global lock (TSX mode only); glock is that lock as the
+	// one-element set el takes.
+	el    *Elider
+	glock []*ssync.Mutex
 }
 
-// siteProbes are the per-lock-site elision statistics; the global lock is
-// the one site package tm manages (internal/core keeps the analogous
-// counters for lock-set elision under "tsx/site/lockset/").
+// siteProbes are one lock site's elision statistics, named
+// tsx/site/<site>/{attempts,fallbacks,fallback-cycles}.
 type siteProbes struct {
 	attempts *probe.Hist    // transactional tries per region (1 = first-try commit)
-	fallback *probe.Counter // explicit fallback-lock acquisitions
-	fbCycles *probe.Counter // cycles the fallback lock was held (occupancy)
+	fallback *probe.Counter // explicit fallback acquisitions
+	fbCycles *probe.Counter // cycles the fallback locks were held (occupancy)
 }
 
 // tsxSpanNames maps each attempt outcome to its precomputed trace-span name
@@ -126,29 +132,30 @@ var tsxSpanNames = [htm.NumCauses]string{
 	htm.Spurious:     "tsx:abort:spurious",
 }
 
+// DefaultMaxRetries is the transactional retry budget before falling back to
+// the lock; the paper reports 5 as the best overall setting for its hardware
+// and workloads.
+const DefaultMaxRetries = 5
+
 // NewSystem creates a synchronization library instance over machine m.
 func NewSystem(m *sim.Machine, mode Mode) *System {
 	s := &System{
 		M:          m,
 		Mode:       mode,
-		MaxRetries: 5,
+		MaxRetries: DefaultMaxRetries,
 		GLock:      ssync.NewMutex(m.Mem),
 		cur:        make([]Tx, m.MaxThreads()),
 	}
 	switch mode {
 	case TSX:
 		s.HTM = htm.New(m)
+		s.el = NewElider(s.HTM, m, "global")
+		s.el.fallbackSpan = "tsx:fallback"
+		s.glock = []*ssync.Mutex{s.GLock}
 	case TL2:
 		s.STM = stm.New(m)
 	}
 	m.SetProbeEngine(mode.String())
-	if ps := m.ProbeSet(); ps != nil && mode == TSX {
-		s.pc = &siteProbes{
-			attempts: ps.Hist("tsx/site/global/attempts"),
-			fallback: ps.Counter("tsx/site/global/fallbacks"),
-			fbCycles: ps.Counter("tsx/site/global/fallback-cycles"),
-		}
-	}
 	return s
 }
 
@@ -163,6 +170,7 @@ func (s *System) SetCommitHook(h func(*sim.Context)) {
 	s.commitHook = h
 	if s.HTM != nil {
 		s.HTM.CommitHook = h
+		s.el.commitHook = h
 	}
 	if s.STM != nil {
 		s.STM.CommitHook = h
@@ -213,9 +221,6 @@ func UnannotatedLoad(tx Tx, a sim.Addr) uint64 {
 // exclusion must be provided externally (a held lock or single-threading).
 func PlainTx(c *sim.Context) Tx { return plainTx{c} }
 
-// HTMTx wraps an in-flight emulated hardware transaction as a Tx.
-func HTMTx(t *htm.Txn) Tx { return htmTx{t} }
-
 // Atomic executes body as one transactional region under the system's mode.
 // Nested calls flatten into the enclosing region. Body must be a
 // re-executable closure: under TSX and TL2 it may run several times.
@@ -246,7 +251,7 @@ func (s *System) Atomic(c *sim.Context, body func(Tx)) {
 			s.enter(c, tl2Tx{t, c}, body)
 		})
 	case TSX:
-		s.elide(c, body)
+		s.el.elide(c, s.glock, s.MaxRetries, func(tx Tx) { s.enter(c, tx, body) })
 	}
 }
 
@@ -256,29 +261,62 @@ func (s *System) enter(c *sim.Context, tx Tx, body func(Tx)) {
 	body(tx)
 }
 
-// elide is the RTM lock-elision policy from Section 3 of the paper: execute
-// the region transactionally with the global lock's word in the read set
-// (aborting if the lock is held), retry up to MaxRetries times with
-// randomized backoff on conflicts, wait for the lock to become free after a
-// lock-busy abort, and fall back to explicit acquisition on persistent
-// failure or when the hardware hints a retry cannot succeed (syscalls,
-// explicit aborts).
-func (s *System) elide(c *sim.Context, body func(Tx)) {
-	costs := s.M.Costs
-	lockAddr := s.GLock.Addr
+// Elider is the RTM lock-elision policy from Section 3 of the paper for one
+// lock site: run the region transactionally with the lock words in the read
+// set (aborting if any is held), retry up to the budget with randomized
+// backoff on conflicts, wait for a busy lock to come free, and fall back to
+// explicit acquisition on persistent failure or when the hardware hints a
+// retry cannot succeed (syscalls, explicit aborts). A site is built once, so
+// its probe handles resolve off the hot path.
+type Elider struct {
+	rt           *htm.Runtime
+	fallbackSpan string             // trace-span name of a fallback acquisition
+	commitHook   func(*sim.Context) // see System.SetCommitHook; nil for lock sets
+	pc           *siteProbes        // nil when the machine carries no probe set
+}
+
+// NewElider creates the elision site named site, running on rt over machine
+// m. Its probes live under tsx/site/<site>/ and its fallback spans are named
+// "<site>:fallback".
+func NewElider(rt *htm.Runtime, m *sim.Machine, site string) *Elider {
+	e := &Elider{rt: rt, fallbackSpan: site + ":fallback"}
+	if ps := m.ProbeSet(); ps != nil {
+		e.pc = &siteProbes{
+			attempts: ps.Hist("tsx/site/" + site + "/attempts"),
+			fallback: ps.Counter("tsx/site/" + site + "/fallbacks"),
+			fbCycles: ps.Counter("tsx/site/" + site + "/fallback-cycles"),
+		}
+	}
+	return e
+}
+
+// ElideSet executes body as a critical section protected by the given set of
+// locks, replacing the whole set of acquisitions with a single transactional
+// begin (lockset elision), with DefaultMaxRetries attempts. The fallback
+// acquires every lock in address order (avoiding deadlock) and runs body
+// non-speculatively. Body must be a re-executable closure.
+func (e *Elider) ElideSet(c *sim.Context, locks []*ssync.Mutex, body func(Tx)) {
+	e.elide(c, locks, DefaultMaxRetries, body)
+}
+
+// elide runs the policy with a budget of maxRetries transactional attempts.
+func (e *Elider) elide(c *sim.Context, locks []*ssync.Mutex, maxRetries int, body func(Tx)) {
+	costs := c.Machine().Costs
 	tries := uint64(0)
-	for attempt := 0; attempt < s.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxRetries; attempt++ {
 		tries++
 		t0 := c.Now()
-		cause, noRetry := s.HTM.Try(c, func(t *htm.Txn) {
-			if t.Load(lockAddr) != 0 {
-				t.Abort(htm.LockBusy)
+		cause, noRetry := e.rt.Try(c, func(t *htm.Txn) {
+			for _, mu := range locks {
+				if t.Load(mu.Addr) != 0 {
+					t.Abort(htm.LockBusy)
+				}
 			}
-			s.enter(c, htmTx{t}, body)
+			body(htmTx{t})
 		})
 		c.EmitSpan(t0, c.Now()-t0, "txn", tsxSpanNames[cause])
 		if cause == htm.NoAbort {
-			if p := s.pc; p != nil {
+			if p := e.pc; p != nil {
 				p.attempts.Observe(tries)
 			}
 			return
@@ -288,15 +326,17 @@ func (s *System) elide(c *sim.Context, body func(Tx)) {
 		}
 		switch cause {
 		case htm.LockBusy:
-			// Wait for the lock to be released before retrying; retrying
-			// while it is held would abort immediately again. The wait is
-			// bounded: under a steady stream of fallback acquisitions the
-			// lock word can stay set indefinitely (ownership is handed
-			// directly between parked waiters), and an unbounded spin would
-			// livelock — exhausting the retry budget instead sends this
-			// thread into the fair fallback queue.
+			// Wait for the locks to be released before retrying; retrying
+			// while one is held would abort immediately again. The wait is
+			// bounded: under a steady stream of fallback acquisitions a lock
+			// word can stay set indefinitely (ownership is handed directly
+			// between parked waiters), and an unbounded spin would livelock —
+			// exhausting the retry budget instead sends this thread into the
+			// fair fallback queue.
 			prev := c.SetPhase(sim.PhaseSpin)
-			c.SpinOn(lockAddr, false, costs.MutexSpin, 4*costs.MutexSpinTries)
+			for _, mu := range locks {
+				c.SpinOn(mu.Addr, false, costs.MutexSpin, 4*costs.MutexSpinTries)
+			}
 			c.SetPhase(prev)
 		case htm.Conflict:
 			// Brief randomized backoff to break symmetric conflict cycles.
@@ -308,44 +348,56 @@ func (s *System) elide(c *sim.Context, body func(Tx)) {
 			// always worth retrying, with bounded exponential backoff so a
 			// burst of disturbances does not burn the whole retry budget
 			// inside the same burst. The budget still bounds total attempts;
-			// exhausting it falls back to the lock, which guarantees
+			// exhausting it falls back to the locks, which guarantees
 			// forward progress.
 			prev := c.SetPhase(sim.PhaseSpin)
-			c.Compute(uint64(c.Rand.Int63n(SpuriousBackoffMax(attempt))) + 1)
+			c.Compute(uint64(c.Rand.Int63n(spuriousBackoffMax(attempt))) + 1)
 			c.SetPhase(prev)
 		}
 	}
-	// Fallback: explicitly acquire the lock. The store to the lock word
+	// Fallback: explicitly acquire the locks. The store to a lock word
 	// aborts every transaction currently eliding it, ensuring correctness.
-	s.HTM.Stats.Fallback++
-	if p := s.pc; p != nil {
+	e.rt.Stats.Fallback++
+	if p := e.pc; p != nil {
 		p.attempts.Observe(tries)
 		p.fallback.Inc()
 	}
+	if len(locks) > 1 {
+		// Address order avoids deadlock; a set may name the same lock
+		// several times (e.g. two batched constraints sharing an object),
+		// and acquiring it twice would self-deadlock.
+		locks = slices.Clone(locks)
+		slices.SortFunc(locks, func(a, b *ssync.Mutex) int { return cmp.Compare(a.Addr, b.Addr) })
+		locks = slices.Compact(locks)
+	}
 	f0 := c.Now()
-	s.GLock.Lock(c)
+	for _, mu := range locks {
+		mu.Lock(c)
+	}
 	lockAt := c.Now()
 	prev := c.SetPhase(sim.PhaseSerial)
-	s.enter(c, plainTx{c}, body)
-	if s.commitHook != nil {
+	body(plainTx{c})
+	if e.commitHook != nil {
 		// Same commit point as SGL: hook before release, while the fallback
-		// lock still excludes both elided and fallback regions.
-		s.commitHook(c)
+		// locks still exclude both elided and fallback regions.
+		e.commitHook(c)
 	}
-	s.GLock.Unlock(c)
+	for i := len(locks) - 1; i >= 0; i-- {
+		locks[i].Unlock(c)
+	}
 	c.SetPhase(prev)
-	if p := s.pc; p != nil {
+	if p := e.pc; p != nil {
 		p.fbCycles.Add(c.Now() - lockAt)
 	}
-	c.EmitSpan(f0, c.Now()-f0, "fallback", "tsx:fallback")
+	c.EmitSpan(f0, c.Now()-f0, "fallback", e.fallbackSpan)
 }
 
-// SpuriousBackoffMax is the bounded exponential backoff ceiling (in cycles)
+// spuriousBackoffMax is the bounded exponential backoff ceiling (in cycles)
 // for retry attempt n after a spurious (injected environmental) abort:
 // 32·2ⁿ capped at 4096. Only fault injection produces Spurious aborts, so
 // the branch never executes — and never draws from the thread's RNG — in a
 // faults-off run.
-func SpuriousBackoffMax(attempt int) int64 {
+func spuriousBackoffMax(attempt int) int64 {
 	max := int64(32) << uint(attempt)
 	if max > 4096 || max <= 0 {
 		max = 4096
