@@ -491,30 +491,7 @@ func (s *Suite) Figure6() (*harness.Table, float64, error) {
 func (s *Suite) RetrySweep(budgets []int) (*harness.Figure, error) {
 	futs := make([]runner.Future[simCell], len(budgets))
 	for i, budget := range budgets {
-		budget := budget
-		key := runner.Key(fmt.Sprintf("retry/%d", budget))
-		futs[i] = runner.Submit(s.E, key, func() (simCell, error) {
-			m := sim.New(sim.DefaultConfig())
-			sys := tm.NewSystem(m, tm.TSX)
-			sys.MaxRetries = budget
-			// A contended array-update mix: most updates are local, some hit a
-			// shared hot region, so both conflict retries and fallbacks occur.
-			hot := m.Mem.AllocLine(8 * 32)
-			local := m.Mem.AllocArray(8, sim.LineSize)
-			res := m.Run(8, func(c *sim.Context) {
-				mine := local + sim.Addr(c.ID()*sim.LineSize)
-				for i := 0; i < 400; i++ {
-					h := hot + sim.Addr(c.Rand.Intn(32)*8)
-					sys.Atomic(c, func(tx tm.Tx) {
-						tx.Store(mine, tx.Load(mine)+1)
-						tx.Store(h, tx.Load(h)+1)
-						tx.Ctx().Compute(40)
-					})
-					c.Compute(120)
-				}
-			})
-			return simCell{Cycles: res.Cycles, Events: res.Events}, nil
-		})
+		futs[i] = s.retryCell(budget)
 	}
 	fig := &harness.Figure{
 		Title:   "Retry policy — contended-workload cycles vs max retries (Section 3)",
@@ -534,6 +511,33 @@ func (s *Suite) RetrySweep(budgets []int) (*harness.Figure, error) {
 	}
 	fig.Series = append(fig.Series, series)
 	return fig, nil
+}
+
+// retryCell runs RetrySweep's contended mix under one retry budget.
+func (s *Suite) retryCell(budget int) runner.Future[simCell] {
+	key := runner.Key(fmt.Sprintf("retry/%d", budget))
+	return runner.Submit(s.E, key, func() (simCell, error) {
+		m := sim.New(sim.DefaultConfig())
+		sys := tm.NewSystem(m, tm.TSX)
+		sys.MaxRetries = budget
+		// A contended array-update mix: most updates are local, some hit a
+		// shared hot region, so both conflict retries and fallbacks occur.
+		hot := m.Mem.AllocLine(8 * 32)
+		local := m.Mem.AllocArray(8, sim.LineSize)
+		res := m.Run(8, func(c *sim.Context) {
+			mine := local + sim.Addr(c.ID()*sim.LineSize)
+			for i := 0; i < 400; i++ {
+				h := hot + sim.Addr(c.Rand.Intn(32)*8)
+				sys.Atomic(c, func(tx tm.Tx) {
+					tx.Store(mine, tx.Load(mine)+1)
+					tx.Store(h, tx.Load(h)+1)
+					tx.Ctx().Compute(40)
+				})
+				c.Compute(120)
+			}
+		})
+		return simCell{Cycles: res.Cycles, Events: res.Events}, nil
+	})
 }
 
 // HTCapacityAblation quantifies the Hyper-Threading capacity observation of
