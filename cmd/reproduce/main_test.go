@@ -186,8 +186,8 @@ func TestRunWarmColdFullCatalog(t *testing.T) {
 		t.Fatalf("warm run not >=10x faster: cold %.3fs, warm %.3fs", coldRep.TotalSeconds, warmRep.TotalSeconds)
 	}
 
-	// The paper's Figure 2, Table 1 and A6 claims, judged on the cells the
-	// cold run computed: a suite over the same store serves every one.
+	// The paper's claims (DESIGN §5), judged on the cells the cold run
+	// computed: a suite over the same store serves every one.
 	o := runopts.Options{Cache: cache}
 	suite, _, cleanup := o.Setup(io.Discard)
 	defer cleanup()

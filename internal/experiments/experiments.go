@@ -189,11 +189,15 @@ func (s *Suite) ClompSweep(cfg clomp.Config, scatters []int, threads int) (*harn
 	return fig, nil
 }
 
+// figure1Scatters are the scatter counts Figure 1 sweeps; Large TM crosses
+// Small Atomic between 3 and 4.
+var figure1Scatters = []int{1, 2, 3, 4, 6, 8, 12, 16}
+
 // Figure1 reproduces the CLOMP-TM characterization: speedup over serial at
 // 4 threads (Hyper-Threading off) for the five synchronization schemes
 // across scatter counts.
 func (s *Suite) Figure1() (*harness.Figure, error) {
-	scatters := []int{1, 2, 3, 4, 6, 8, 12, 16}
+	scatters := figure1Scatters
 	refs := make([]runner.Future[clomp.Result], len(scatters))
 	cells := make(map[clomp.Scheme][]runner.Future[clomp.Result])
 	for i, sc := range scatters {

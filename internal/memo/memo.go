@@ -5,55 +5,77 @@
 //
 // Correctness by construction, not by discipline:
 //
-//   - Entries live under a directory named by the model fingerprint
+//   - Records live under a directory named by the model fingerprint
 //     (ModelFingerprint), which hashes everything that can change a cell's
 //     virtual-cycle result: the resolved cost profile and machine
 //     configuration, the process-wide run defaults (fault plan — chaos seed
 //     and knobs — and cycle budgets), and a fingerprint of the simulator
 //     code itself. Editing a cost table, the simulator, or the chaos seed
 //     moves the store to a fresh directory; stale hits are impossible.
-//   - Every entry is a CRC-checked, key-verified file whose magic carries
-//     the codec schema number and whose payload is prefixed with a hash of
-//     the result type's structural signature. The payload is a binary
-//     encoding compiled once per result type (codec.go). A truncated,
-//     bit-flipped, colliding, schema-stale or reshaped-type entry is
-//     reported as invalid — the engine recomputes and rewrites it — never
-//     decoded into a wrong value.
-//   - Writes are write-temp-then-rename, so readers (including concurrent
-//     processes sharing the directory) only ever observe complete entries.
+//   - The directory holds one append-only log, entries.log, of
+//     self-describing records. Each record names its key, carries a CRC
+//     over key and blob, a magic with the codec schema number, and a hash
+//     of the result type's structural signature in front of a payload
+//     compiled once per result type (codec.go). A bit-flipped,
+//     schema-stale or reshaped-type record reads as invalid — the engine
+//     recomputes and appends it again — never as a wrong value.
+//   - A Store reads the log once, on its first Load, and indexes it by key;
+//     a later miss reads only the bytes appended since. Bytes that name no
+//     key are skipped to the next magic, so a damaged record never hides
+//     the records after it, and a record that runs past the end of the log
+//     with no magic after it is an append still in flight: a miss, read
+//     again by the next refresh.
+//   - Save appends one record with one write on an O_APPEND descriptor, so
+//     processes sharing the directory never interleave records, and a kill
+//     mid-append leaves a torn record that readers skip.
 package memo
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 
 	"tsxhpc/internal/runner"
 )
 
-// schemaVersion is the entry codec version. Bump it on any incompatible
-// change to the codec or file layout; old entries then read as invalid
-// and are rewritten.
-const schemaVersion = 2
+// schemaVersion is the record codec version. Bump it on any incompatible
+// change to the codec or log layout: it is hashed into the fingerprint, so
+// the cells are recomputed under a new directory, and an old record's
+// magic no longer matches.
+const schemaVersion = 3
 
-// magic marks a store entry file; a file without it is invalid outright.
+// magic opens every record; a reader resynchronises on it after damage.
 var magic = [8]byte{'T', 'S', 'X', 'M', 'E', 'M', 'O', schemaVersion}
+
+// logName is the store's one file in its fingerprint directory.
+const logName = "entries.log"
 
 // Store is an on-disk result cache scoped to one model fingerprint. It is
 // safe for concurrent use by any number of goroutines and cooperating
-// processes: entry files are written atomically and verified on read.
+// processes: records are appended whole and verified on read.
 type Store struct {
 	dir         string
 	fingerprint string
+	log         string // dir/entries.log
+
+	// mu guards the index and serializes this process's appends.
+	mu sync.Mutex
+	// index maps each key to the blob of its latest record (sigHash |
+	// payload), or to nil when that record is damaged: the key is invalid
+	// until a valid record for it is appended.
+	index map[runner.Key][]byte
+	// off is how many log bytes the index covers; a refresh reads on from
+	// there.
+	off int64
 
 	hits       atomic.Uint64
 	misses     atomic.Uint64
@@ -64,7 +86,7 @@ type Store struct {
 // Open opens (creating if needed) the store rooted at dir for the current
 // model fingerprint. Call it after any sim.SetRunDefaults: the fingerprint
 // captures the installed fault plan and cycle budgets, so a store opened
-// before arming chaos would file entries under the wrong model.
+// before arming chaos would file records under the wrong model.
 func Open(dir string) (*Store, error) {
 	fp, err := ModelFingerprint()
 	if err != nil {
@@ -83,13 +105,13 @@ func OpenAt(dir, fingerprint string) (*Store, error) {
 	if err := os.MkdirAll(d, 0o755); err != nil {
 		return nil, fmt.Errorf("memo: %w", err)
 	}
-	return &Store{dir: d, fingerprint: fingerprint}, nil
+	return &Store{dir: d, fingerprint: fingerprint, log: filepath.Join(d, logName)}, nil
 }
 
 // Fingerprint reports the model fingerprint this store is scoped to.
 func (s *Store) Fingerprint() string { return s.fingerprint }
 
-// Dir reports the fingerprint-scoped entry directory.
+// Dir reports the fingerprint-scoped directory that holds the log.
 func (s *Store) Dir() string { return s.dir }
 
 // Stats is a snapshot of store activity (this process only).
@@ -110,44 +132,29 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// path maps a cell key to its content-addressed entry file.
-func (s *Store) path(key runner.Key) string {
-	h := sha256.Sum256([]byte(key))
-	return filepath.Join(s.dir, hex.EncodeToString(h[:])[:40]+".memo")
-}
-
-// Load implements runner.Store: it decodes the entry for key into out
-// (a *T) after verifying magic, stored key, checksum, and the hash of T's
-// type signature. The value is decoded into a fresh T and stored into out
-// only when the whole payload decodes, so out never holds a partial or
-// merged value. Any verification failure is StoreInvalid — the engine
-// recomputes and rewrites. A missing entry is StoreMiss.
+// Load implements runner.Store: it decodes the latest record for key into
+// out (a *T) after checking the hash of T's type signature. The value is
+// decoded into a fresh T and stored into out only when the whole payload
+// decodes, so out never holds a partial or merged value. A damaged record,
+// a reshaped type or an unreadable log is StoreInvalid — the engine
+// recomputes and appends. A key with no record is StoreMiss.
 func (s *Store) Load(key runner.Key, out any) runner.LoadStatus {
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			s.misses.Add(1)
-			return runner.StoreMiss
-		}
-		s.invalid.Add(1)
-		return runner.StoreInvalid
+	blob, found := s.lookup(key)
+	if !found {
+		s.misses.Add(1)
+		return runner.StoreMiss
 	}
 	rv := reflect.ValueOf(out)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+	if blob == nil || rv.Kind() != reflect.Pointer || rv.IsNil() {
 		s.invalid.Add(1)
 		return runner.StoreInvalid
 	}
 	p, err := planFor(rv.Elem().Type())
-	if err != nil {
+	if err != nil || binary.LittleEndian.Uint64(blob) != p.hash {
 		s.invalid.Add(1)
 		return runner.StoreInvalid
 	}
-	payload, ok := openEntry(data, key, p.hash)
-	if !ok {
-		s.invalid.Add(1)
-		return runner.StoreInvalid
-	}
-	v, ok := p.decode(payload)
+	v, ok := p.decode(blob[8:])
 	if !ok {
 		s.invalid.Add(1)
 		return runner.StoreInvalid
@@ -157,9 +164,162 @@ func (s *Store) Load(key runner.Key, out any) runner.LoadStatus {
 	return runner.StoreHit
 }
 
-// Save implements runner.Store: it persists v under key atomically
-// (write-temp-then-rename). A value the codec cannot round-trip (see
-// codec.go) is refused before any file is written. Errors are counted and
+// lookup returns the indexed blob for key, reading the log's new bytes
+// first unless key already has a valid record. found is false when no
+// record names key; a nil blob with found set is a damaged record or an
+// unreadable log.
+func (s *Store) lookup(key runner.Key) (blob []byte, found bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if blob = s.index[key]; blob != nil {
+		return blob, true
+	}
+	if err := s.refresh(); err != nil {
+		return nil, true
+	}
+	blob, found = s.index[key]
+	return blob, found
+}
+
+// refresh indexes the bytes appended to the log since the last refresh.
+// The caller holds s.mu.
+func (s *Store) refresh() error {
+	f, err := os.Open(s.log)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if fi.Size() < s.off { // the log was cut or replaced: index it afresh
+		s.index, s.off = nil, 0
+	}
+	if fi.Size() == s.off {
+		return nil
+	}
+	buf := make([]byte, fi.Size()-s.off)
+	n, err := f.ReadAt(buf, s.off)
+	if err != nil && err != io.EOF {
+		return err
+	}
+	if s.index == nil {
+		s.index = make(map[runner.Key][]byte)
+	}
+	s.off += int64(s.scan(buf[:n]))
+	return nil
+}
+
+// scan indexes the records in buf, the log from s.off on, and returns how
+// many bytes it consumed. A valid record sets its key's blob and a damaged
+// one clears it; after either kind of damage the scan resumes at the next
+// magic, since a damaged length field cannot be trusted. The scan stops
+// before a record that runs past the end of buf with no magic after it (an
+// append still in flight) and before a tail that may be the start of a
+// magic.
+func (s *Store) scan(buf []byte) int {
+	p := 0
+	for p < len(buf) {
+		if !bytes.HasPrefix(buf[p:], magic[:]) {
+			next := nextMagic(buf, p)
+			if next < 0 {
+				return max(p, len(buf)-len(magic)+1)
+			}
+			p = next
+			continue
+		}
+		key, blob, n, st := openRecord(buf[p:])
+		switch st {
+		case recValid:
+			s.index[runner.Key(key)] = blob
+			p += n
+			continue
+		case recDamaged:
+			s.index[runner.Key(key)] = nil
+		}
+		next := nextMagic(buf, p)
+		switch {
+		case next >= 0:
+			p = next
+		case st == recShort:
+			return p
+		default:
+			p += n
+		}
+	}
+	return p
+}
+
+// nextMagic returns the offset of the first magic in buf after p, or -1.
+func nextMagic(buf []byte, p int) int {
+	i := bytes.Index(buf[p+1:], magic[:])
+	if i < 0 {
+		return -1
+	}
+	return p + 1 + i
+}
+
+// recState is what openRecord found at a magic.
+type recState uint8
+
+const (
+	recValid   recState = iota // key and blob verified
+	recDamaged                 // the key reads, the record fails a check
+	recShort                   // the record runs past the end of the bytes
+)
+
+// sealRecord encodes v into a complete record image:
+//
+//	magic | len(key) | key | len(blob) | crc32(key | blob) | blob
+//	blob = sigHash | payload
+//
+// where the lengths and the CRC are big-endian uint32s, sigHash is the
+// plan's signature hash (little-endian) and payload is v in the plan's
+// encoding. The CRC covers the key as well as the blob: a record in a
+// shared log is found by the key it stores, so a flipped key bit must
+// fail the check rather than file the blob under another key.
+func sealRecord(key runner.Key, p *plan, v reflect.Value) []byte {
+	b := append(make([]byte, 0, 512), magic[:]...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(key)))
+	b = append(b, key...)
+	head := len(b)
+	b = append(b, make([]byte, 8)...) // len(blob), crc32(key | blob): filled below
+	b = binary.LittleEndian.AppendUint64(b, p.hash)
+	b = p.enc(b, v)
+	blob := b[head+8:]
+	binary.BigEndian.PutUint32(b[head:], uint32(len(blob)))
+	binary.BigEndian.PutUint32(b[head+4:], crc32.Update(crc32.ChecksumIEEE(b[len(magic)+4:head]), crc32.IEEETable, blob))
+	return b
+}
+
+// openRecord parses the record at the start of rec, which begins with the
+// magic, and returns its key, its blob and its length in bytes. A damaged
+// record still returns its key and length; a short one returns neither.
+func openRecord(rec []byte) (key, blob []byte, n int, st recState) {
+	rest := rec[len(magic):]
+	if len(rest) < 4 || uint64(len(rest)-4) < uint64(binary.BigEndian.Uint32(rest))+8 {
+		return nil, nil, 0, recShort
+	}
+	key, rest = rest[4:4+binary.BigEndian.Uint32(rest)], rest[4+binary.BigEndian.Uint32(rest):]
+	blobLen, sum := binary.BigEndian.Uint32(rest), binary.BigEndian.Uint32(rest[4:])
+	if uint64(len(rest)-8) < uint64(blobLen) {
+		return nil, nil, 0, recShort
+	}
+	blob = rest[8 : 8+blobLen]
+	n = len(rec) - len(rest) + 8 + int(blobLen)
+	if blobLen < 8 || crc32.Update(crc32.ChecksumIEEE(key), crc32.IEEETable, blob) != sum {
+		return key, nil, n, recDamaged
+	}
+	return key, blob, n, recValid
+}
+
+// Save implements runner.Store: it appends v's record to the log with one
+// write on an O_APPEND descriptor. A value the codec cannot round-trip (see
+// codec.go) is refused before the log is touched. Errors are counted and
 // returned; the engine treats them as best-effort.
 func (s *Store) Save(key runner.Key, v any) error {
 	p, err := planFor(reflect.TypeOf(v))
@@ -167,86 +327,28 @@ func (s *Store) Save(key runner.Key, v any) error {
 		s.saveErrors.Add(1)
 		return err
 	}
-	data := sealEntry(key, p, reflect.ValueOf(v))
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
+	rec := sealRecord(key, p, reflect.ValueOf(v))
+	s.mu.Lock()
+	err = appendRecord(s.log, rec)
+	s.mu.Unlock()
 	if err != nil {
 		s.saveErrors.Add(1)
 		return fmt.Errorf("memo: %w", err)
 	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), s.path(key))
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		s.saveErrors.Add(1)
-		return fmt.Errorf("memo: %w", werr)
-	}
 	return nil
 }
 
-// sealEntry encodes v into a complete entry file image:
-//
-//	magic | len(key) | key | len(blob) | crc32(blob) | blob
-//	blob = sigHash | payload
-//
-// where sigHash is the plan's signature hash (little-endian) and payload
-// is v in the plan's encoding. The stored key guards against
-// (astronomically unlikely) filename-hash collisions and makes entries
-// self-describing for debugging.
-func sealEntry(key runner.Key, p *plan, v reflect.Value) []byte {
-	b := append(make([]byte, 0, 512), magic[:]...)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(key)))
-	b = append(b, key...)
-	head := len(b)
-	b = append(b, make([]byte, 8)...) // len(blob), crc32(blob): filled below
-	b = binary.LittleEndian.AppendUint64(b, p.hash)
-	b = p.enc(b, v)
-	blob := b[head+8:]
-	binary.BigEndian.PutUint32(b[head:], uint32(len(blob)))
-	binary.BigEndian.PutUint32(b[head+4:], crc32.ChecksumIEEE(blob))
-	return b
-}
-
-// openEntry verifies a raw entry file image written for key by a type
-// whose signature hashes to sigHash, and returns its payload.
-func openEntry(data []byte, key runner.Key, sigHash uint64) ([]byte, bool) {
-	if len(data) < len(magic) || !bytes.Equal(data[:len(magic)], magic[:]) {
-		return nil, false
+// appendRecord writes rec to the end of the log at path in one write.
+func appendRecord(path string, rec []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
 	}
-	rest := data[len(magic):]
-	storedKey, rest, ok := readChunk(rest)
-	if !ok || string(storedKey) != string(key) {
-		return nil, false
+	_, err = f.Write(rec)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if len(rest) < 8 {
-		return nil, false
-	}
-	blobLen := binary.BigEndian.Uint32(rest[:4])
-	sum := binary.BigEndian.Uint32(rest[4:8])
-	blob := rest[8:]
-	if uint32(len(blob)) != blobLen || crc32.ChecksumIEEE(blob) != sum {
-		return nil, false
-	}
-	if len(blob) < 8 || binary.LittleEndian.Uint64(blob) != sigHash {
-		return nil, false
-	}
-	return blob[8:], true
-}
-
-func readChunk(data []byte) (chunk, rest []byte, ok bool) {
-	if len(data) < 4 {
-		return nil, nil, false
-	}
-	n := binary.BigEndian.Uint32(data[:4])
-	if uint64(len(data)-4) < uint64(n) {
-		return nil, nil, false
-	}
-	return data[4 : 4+n], data[4+n:], true
+	return err
 }
 
 // TypeSig returns a structural signature of t: its name plus the recursive

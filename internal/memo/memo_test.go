@@ -1,9 +1,12 @@
 package memo
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -32,14 +35,33 @@ func openTest(t *testing.T) *Store {
 	return s
 }
 
-// entryFile returns the single on-disk entry path for key.
-func entryFile(t *testing.T, s *Store, key runner.Key) string {
+// logBytes returns the store's log.
+func logBytes(t *testing.T, s *Store) []byte {
 	t.Helper()
-	p := s.path(key)
-	if _, err := os.Stat(p); err != nil {
-		t.Fatalf("entry for %q not on disk: %v", key, err)
+	b, err := os.ReadFile(filepath.Join(s.Dir(), logName))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return p
+	return b
+}
+
+// writeLog replaces the store's log with b.
+func writeLog(t *testing.T, s *Store, b []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(s.Dir(), logName), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reopen returns a fresh Store on s's directory, which reads the log as a
+// new process would.
+func reopen(t *testing.T, s *Store) *Store {
+	t.Helper()
+	r, err := OpenAt(filepath.Dir(s.Dir()), s.Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestRoundTrip checks that a realistic result struct (nested named types,
@@ -66,78 +88,263 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCorruptionTolerance is the robustness contract: a truncated or
-// bit-flipped entry — at any offset — reads as invalid, never as a wrong
-// value, and rewriting it restores hits.
-func TestCorruptionTolerance(t *testing.T) {
-	type result struct{ N, M uint64 }
-	s := openTest(t)
-	key := runner.Key("cell/1")
-	want := result{N: 7, M: 9}
-	if err := s.Save(key, want); err != nil {
-		t.Fatal(err)
+type pair struct{ N, M uint64 }
+
+// threeRecords saves cell/0, cell/1 and cell/2 in that order and returns
+// the store, the values and the log's bounds of cell/1's record.
+func threeRecords(t *testing.T) (s *Store, want [3]pair, lo, hi int) {
+	t.Helper()
+	s = openTest(t)
+	var ends [3]int
+	for i := range want {
+		want[i] = pair{N: uint64(7 + i), M: uint64(9 * (i + 1))}
+		if err := s.Save(runner.Key(fmt.Sprintf("cell/%d", i)), want[i]); err != nil {
+			t.Fatal(err)
+		}
+		ends[i] = len(logBytes(t, s))
 	}
-	path := entryFile(t, s, key)
-	orig, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	return s, want, ends[0], ends[1]
+}
+
+// TestCorruptionTolerance is the robustness contract: a truncated or
+// bit-flipped record — at any offset — never reads as a wrong value, the
+// records on either side of it still hit, and rewriting it restores hits.
+// Each damaged log is read by a fresh Store, as a new process would.
+func TestCorruptionTolerance(t *testing.T) {
+	s, want, lo, hi := threeRecords(t)
+	orig := logBytes(t, s)
+	key := runner.Key("cell/1")
+	// header is the length of cell/1's record before its blob: magic, key
+	// length, key, blob length and CRC.
+	header := len(magic) + 4 + len(key) + 8
+
+	// check loads all three cells from log and returns cell/1's status;
+	// a rewrite then restores cell/1.
+	check := func(what string, log []byte) runner.LoadStatus {
+		t.Helper()
+		writeLog(t, s, log)
+		r := reopen(t, s)
+		var got pair
+		st := r.Load(key, &got)
+		if st == runner.StoreHit && got != want[1] {
+			t.Fatalf("%s: hit with wrong value %+v", what, got)
+		}
+		for _, i := range []int{0, 2} {
+			var n pair
+			if st := r.Load(runner.Key(fmt.Sprintf("cell/%d", i)), &n); st != runner.StoreHit || n != want[i] {
+				t.Fatalf("%s: neighbour cell/%d = %v, %+v", what, i, st, n)
+			}
+		}
+		if err := r.Save(key, want[1]); err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Load(key, &got); st != runner.StoreHit || got != want[1] {
+			t.Fatalf("%s: after rewrite: %v, %+v", what, st, got)
+		}
+		return st
 	}
 
-	// Flip every byte position in turn; no single-bit corruption may
-	// produce a hit with a wrong value.
-	for i := range orig {
+	// Flip every byte of the middle record in turn; no single-bit
+	// corruption may produce a hit with a wrong value. A flip in the magic
+	// or a length field leaves the record naming no key: a miss.
+	for i := lo; i < hi; i++ {
 		mut := append([]byte(nil), orig...)
 		mut[i] ^= 0x40
-		if err := os.WriteFile(path, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var got result
-		switch st := s.Load(key, &got); st {
-		case runner.StoreHit:
-			if got != want {
-				t.Fatalf("byte %d flip: hit with wrong value %+v", i, got)
-			}
-		case runner.StoreInvalid:
-		default:
-			t.Fatalf("byte %d flip: Load = %v", i, st)
-		}
+		check(fmt.Sprintf("byte %d flip", i-lo), mut)
 	}
 
-	// Truncations at every length must be invalid (never a crash or hit).
-	for _, n := range []int{0, 1, len(orig) / 2, len(orig) - 1} {
-		if err := os.WriteFile(path, orig[:n], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var got result
-		if st := s.Load(key, &got); st != runner.StoreInvalid {
+	// Truncate the middle record to every length. Once its header reads,
+	// it is invalid if its claimed end lies inside the log, and a miss if
+	// it runs past the end: the log cannot tell that from an append still
+	// in flight. Before its key reads it names no key at all.
+	for n := 0; n < hi-lo; n++ {
+		mut := append(append(append([]byte(nil), orig[:lo]...), orig[lo:lo+n]...), orig[hi:]...)
+		st := check(fmt.Sprintf("truncation to %d bytes", n), mut)
+		switch {
+		case st == runner.StoreHit:
+			t.Fatalf("truncation to %d bytes: Load = hit", n)
+		case n >= header && hi > len(mut) && st != runner.StoreMiss:
+			t.Fatalf("truncation to %d bytes (past EOF): Load = %v, want miss", n, st)
+		case n >= header && hi <= len(mut) && st != runner.StoreInvalid:
 			t.Fatalf("truncation to %d bytes: Load = %v, want invalid", n, st)
+		case n < header-8 && st != runner.StoreMiss:
+			t.Fatalf("truncation to %d bytes (key cut): Load = %v, want miss", n, st)
 		}
-	}
-
-	// Rewriting repairs the entry.
-	if err := s.Save(key, want); err != nil {
-		t.Fatal(err)
-	}
-	var got result
-	if st := s.Load(key, &got); st != runner.StoreHit || got != want {
-		t.Fatalf("after rewrite: %v, %+v", st, got)
 	}
 }
 
-// TestKeyVerification: an entry renamed onto another key's path (the
-// filename-hash collision stand-in) is rejected by the stored-key check.
+// TestKeyVerification: the CRC covers the stored key, so a record whose
+// key has a flipped bit is invalid under the key it now names. With a
+// blob-only CRC this flip turned the record for …/4T into a hit for …/6T.
 func TestKeyVerification(t *testing.T) {
 	s := openTest(t)
-	if err := s.Save("cell/a", 111); err != nil {
+	in := stamp.Result{Workload: "bayes", Mode: tm.TSX, Threads: 4, Cycles: 123456789}
+	if err := s.Save("stamp/bayes/tsx/4T", in); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(entryFile(t, s, "cell/a"), s.path("cell/b")); err != nil {
+	log := logBytes(t, s)
+	i := bytes.Index(log, []byte("4T"))
+	log[i] ^= '4' ^ '6'
+	writeLog(t, s, log)
+	r := reopen(t, s)
+	var out stamp.Result
+	if st := r.Load("stamp/bayes/tsx/6T", &out); st != runner.StoreInvalid {
+		t.Fatalf("key-flipped record Load(…/6T) = %v, want invalid", st)
+	}
+	if st := r.Load("stamp/bayes/tsx/4T", &out); st != runner.StoreMiss {
+		t.Fatalf("key-flipped record Load(…/4T) = %v, want miss", st)
+	}
+}
+
+// TestDamagedLengthResync: a record whose length field is corrupted does
+// not hide the records after it, whether they were on disk when the store
+// first read the log or appended later.
+func TestDamagedLengthResync(t *testing.T) {
+	s, want, lo, hi := threeRecords(t)
+	orig := logBytes(t, s)
+	keyLen := lo + len(magic)
+	blobLen := keyLen + 4 + len("cell/1")
+	for _, c := range []struct {
+		name string
+		at   int
+		len  uint32
+	}{
+		{"key length past EOF", keyLen, 1 << 30},
+		{"blob length past EOF", blobLen, 1 << 30},
+		{"blob length into the next record", blobLen, 40},
+		{"blob length short", blobLen, 9},
+	} {
+		mut := append([]byte(nil), orig...)
+		binary.BigEndian.PutUint32(mut[c.at:], c.len)
+		writeLog(t, s, mut)
+		r := reopen(t, s)
+		var got pair
+		if st := r.Load("cell/2", &got); st != runner.StoreHit || got != want[2] {
+			t.Fatalf("%s: record after the damage = %v, %+v", c.name, st, got)
+		}
+		// Drop the records after the damaged one. A reader holds it as an
+		// append in flight while its claimed end lies past EOF, and must
+		// still see the next record appended after it.
+		writeLog(t, s, mut[:hi])
+		r = reopen(t, s)
+		if st := r.Load("cell/0", &got); st != runner.StoreHit || got != want[0] {
+			t.Fatalf("%s: record before the damage = %v, %+v", c.name, st, got)
+		}
+		if err := s.Save("cell/3", pair{N: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Load("cell/3", &got); st != runner.StoreHit || got != (pair{N: 3}) {
+			t.Fatalf("%s: record appended after the damage = %v, %+v", c.name, st, got)
+		}
+	}
+}
+
+// TestHalfWrittenRecord: a record cut short at the end of the log is an
+// append still in flight — a miss — and the same store hits once the rest
+// of its bytes land.
+func TestHalfWrittenRecord(t *testing.T) {
+	s, want, lo, hi := threeRecords(t)
+	orig := logBytes(t, s)
+	for n := 1; n < hi-lo; n++ {
+		writeLog(t, s, orig[:lo+n])
+		r := reopen(t, s)
+		var got pair
+		if st := r.Load("cell/1", &got); st != runner.StoreMiss {
+			t.Fatalf("%d of %d bytes written: Load = %v, want miss", n, hi-lo, st)
+		}
+		if st := r.Load("cell/0", &got); st != runner.StoreHit || got != want[0] {
+			t.Fatalf("%d of %d bytes written: cell/0 = %v, %+v", n, hi-lo, st, got)
+		}
+		writeLog(t, s, orig[:hi])
+		if st := r.Load("cell/1", &got); st != runner.StoreHit || got != want[1] {
+			t.Fatalf("%d of %d bytes written, then the rest: Load = %v, %+v", n, hi-lo, st, got)
+		}
+	}
+}
+
+// TestLogReplaced: a log cut or replaced under an open store (a cache
+// directory removed mid-run) is indexed afresh from its start.
+func TestLogReplaced(t *testing.T) {
+	s, want, _, _ := threeRecords(t)
+	r := reopen(t, s)
+	var got pair
+	if st := r.Load("cell/2", &got); st != runner.StoreHit || got != want[2] {
+		t.Fatalf("before the cut: cell/2 = %v, %+v", st, got)
+	}
+	if err := os.Remove(filepath.Join(s.Dir(), logName)); err != nil {
 		t.Fatal(err)
 	}
-	var got int
-	if st := s.Load("cell/b", &got); st != runner.StoreInvalid {
-		t.Fatalf("key-swapped entry Load = %v, want invalid", st)
+	if err := s.Save("cell/3", pair{N: 3}); err != nil {
+		t.Fatal(err)
 	}
+	if st := r.Load("cell/3", &got); st != runner.StoreHit || got != (pair{N: 3}) {
+		t.Fatalf("after the log was replaced: cell/3 = %v, %+v", st, got)
+	}
+}
+
+// fuzzCell is the record type FuzzLog saves: a string and a slice make
+// its payloads variable-length.
+type fuzzCell struct {
+	Name   string
+	Cycles uint64
+	Hist   []uint64
+}
+
+// fuzzCells are the records FuzzLog lays around its arbitrary bytes.
+var fuzzCells = []fuzzCell{
+	{Name: "bayes", Cycles: 1 << 40, Hist: []uint64{0, 3, 1}},
+	{Name: "k", Cycles: 7},
+	{Name: "intruder/tsx/8T", Hist: []uint64{}},
+}
+
+// FuzzLog puts arbitrary bytes before, inside and after valid records of
+// one log and reads it with a fresh Store. A Load must never panic, every
+// hit must equal the value saved under its key, and a record appended
+// after the damage must hit.
+func FuzzLog(f *testing.F) {
+	seal := func(i int) []byte {
+		p, err := planFor(reflect.TypeOf(fuzzCells[i]))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return sealRecord(runner.Key(fmt.Sprintf("k/%d", i)), p, reflect.ValueOf(fuzzCells[i]))
+	}
+	recs := [][]byte{seal(0), seal(1), seal(2)}
+	f.Add([]byte{}, []byte{}, []byte{}, uint16(0))
+	f.Add([]byte("junk"), magic[:], magic[:5], uint16(9))
+	f.Add(recs[1], recs[2][:20], append(magic[:], 0xff, 0xff, 0xff, 0xff), uint16(30))
+	f.Fuzz(func(t *testing.T, pre, mid, post []byte, at uint16) {
+		cut := int(at) % (len(recs[1]) + 1)
+		var log []byte
+		for _, b := range [][]byte{pre, recs[0], recs[1][:cut], mid, recs[1][cut:], recs[2], post} {
+			log = append(log, b...)
+		}
+		dir := t.TempDir()
+		s, err := OpenAt(dir, "fuzzfp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(s.Dir(), logName), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		load := func(i int) runner.LoadStatus {
+			var got fuzzCell
+			st := s.Load(runner.Key(fmt.Sprintf("k/%d", i)), &got)
+			if st == runner.StoreHit && !reflect.DeepEqual(got, fuzzCells[i]) {
+				t.Fatalf("k/%d: hit with %+v, saved %+v", i, got, fuzzCells[i])
+			}
+			return st
+		}
+		for i := range fuzzCells {
+			load(i)
+		}
+		if err := s.Save("k/0", fuzzCells[0]); err != nil {
+			t.Fatal(err)
+		}
+		if st := load(0); st != runner.StoreHit {
+			t.Fatalf("record appended after the fuzzed bytes: Load = %v", st)
+		}
+	})
 }
 
 // TestTypeSignatureGuard: an entry written as one type must not decode into
@@ -435,7 +642,7 @@ func TestRoundTripSpecialValues(t *testing.T) {
 
 // TestSaveRefusesUnencodable: a value the codec cannot round-trip — a
 // pointer, an interface, an unexported field, however deep — is refused
-// with an error and counted, and leaves no file behind.
+// with an error and counted, and writes nothing: not even an empty log.
 func TestSaveRefusesUnencodable(t *testing.T) {
 	type withPointer struct{ P *int }
 	type withInterface struct{ I any }
@@ -486,8 +693,8 @@ func TestLoadOnUnencodableTypeIsInvalid(t *testing.T) {
 	}
 }
 
-// TestLoadAllocs ratchets the read path: reading, verifying and decoding a
-// stamp.Result entry stays within a fixed allocation budget.
+// TestLoadAllocs ratchets the hit path: looking up and decoding an indexed
+// stamp.Result record stays within a fixed allocation budget.
 func TestLoadAllocs(t *testing.T) {
 	s := openTest(t)
 	in := stamp.Result{Workload: "bayes", Mode: tm.TSX, Threads: 4, Cycles: 123456789, AbortRate: 12.5}
