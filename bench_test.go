@@ -8,7 +8,8 @@ package tsxhpc
 //	go test -bench=. -benchmem
 //
 // Simulated results are deterministic; wall-clock ns/op measures simulator
-// throughput only.
+// throughput only. Every iteration builds a fresh experiments.Suite, so no
+// iteration is served from a previous one's memo.
 
 import (
 	"testing"
@@ -29,10 +30,25 @@ import (
 // reports the Large TM vs Small Atomic crossover speedups at 4 scatters.
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := clomp.Sweep(clomp.DefaultConfig(), []int{1, 4}, 4)
-		b.ReportMetric(res[clomp.LargeTM][1], "largeTM@4scatters-x")
-		b.ReportMetric(res[clomp.SmallAtomic][1], "smallAtomic@4scatters-x")
+		fig, err := experiments.NewSuite(0).Figure1()
+		if err != nil {
+			b.Fatal(err)
+		}
+		const at4 = 3 // XTicks 1, 2, 3, 4, ...
+		b.ReportMetric(series(b, fig, clomp.LargeTM.String())[at4], "largeTM@4scatters-x")
+		b.ReportMetric(series(b, fig, clomp.SmallAtomic.String())[at4], "smallAtomic@4scatters-x")
 	}
+}
+
+// series returns the Y values of fig's series called name.
+func series(b *testing.B, fig *harness.Figure, name string) []float64 {
+	for _, s := range fig.Series {
+		if s.Name == name {
+			return s.Y
+		}
+	}
+	b.Fatalf("%s has no series %q", fig.Title, name)
+	return nil
 }
 
 // BenchmarkFigure2 regenerates the STAMP execution-time comparison (E2) and
@@ -96,7 +112,7 @@ func BenchmarkFigure3(b *testing.B) {
 // reports the tsx.coarsen-over-baseline geomean at 8 threads (paper: 1.41x).
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, gain, err := experiments.Figure4()
+		_, gain, err := experiments.NewSuite(0).Figure4()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +124,7 @@ func BenchmarkFigure4(b *testing.B) {
 // and reports privatize-over-atomic time ratios at 1 and 8 threads.
 func BenchmarkFigure5a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure5a()
+		fig, err := experiments.NewSuite(0).Figure5a()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +138,7 @@ func BenchmarkFigure5a(b *testing.B) {
 // reports barrier-over-mutex time ratios at 1 and 8 threads.
 func BenchmarkFigure5b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure5b()
+		fig, err := experiments.NewSuite(0).Figure5b()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +152,7 @@ func BenchmarkFigure5b(b *testing.B) {
 // tsx.busywait average bandwidth gain (paper: 1.31x).
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, gain, err := experiments.Figure6()
+		_, gain, err := experiments.NewSuite(0).Figure6()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,7 +164,7 @@ func BenchmarkFigure6(b *testing.B) {
 // reports the cycles at budgets 1 and 5.
 func BenchmarkRetryPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.RetrySweep([]int{1, 5})
+		fig, err := experiments.NewSuite(0).RetrySweep([]int{1, 5})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -232,7 +232,7 @@ type benchReport struct {
 // options are the parsed command-line settings; run takes them explicitly so
 // tests can drive the whole tool in-process. The shared runner knobs
 // (-parallel, -cache, -chaos, -maxcycles, -stallcycles) live in
-// runopts.Options, which every cmd binary registers identically.
+// runopts.Options, which cmd/verify registers identically.
 type options struct {
 	runopts.Options
 	only       string

@@ -167,6 +167,12 @@ func run(o options, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "verify: -seeds must be positive (got %d)\n", o.seeds)
 		return exitUsage
 	}
+	// The oracle builds its machines itself and writes no sidecars, so a
+	// probe flag would be silently ignored; refuse it instead.
+	if o.ProbesArmed() {
+		fmt.Fprintln(stderr, "verify: -metrics, -metricsout and -trace are not supported (use reproduce for metrics and traces)")
+		return exitUsage
+	}
 	sockets, cores, tpc, err := parseTopology(o.topology)
 	if err != nil {
 		fmt.Fprintf(stderr, "verify: %v\n", err)

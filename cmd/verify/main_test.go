@@ -86,6 +86,8 @@ func TestVerifyUsageErrors(t *testing.T) {
 		{"bad engine", options{seeds: 5, engines: "tsx,hle"}, `unknown engine "hle" (valid: tsx, tl2, coarse, fine)`},
 		{"no engines", options{seeds: 5, engines: ","}, "no engines selected"},
 		{"zero seeds", options{seeds: 0, engines: "tsx"}, "-seeds must be positive"},
+		{"metrics", options{seeds: 5, engines: "tsx", Options: runopts.Options{Metrics: true}}, "-metrics, -metricsout and -trace are not supported"},
+		{"trace", options{seeds: 5, engines: "tsx", Options: runopts.Options{TracePath: "t.json"}}, "-metrics, -metricsout and -trace are not supported"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

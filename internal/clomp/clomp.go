@@ -269,31 +269,3 @@ func Run(m *sim.Machine, mesh *Mesh, scheme Scheme, threads int) Result {
 	}
 	return out
 }
-
-// Sweep runs the Figure 1 experiment: for each scatter count, the speedup of
-// every scheme at the given thread count relative to the serial reference.
-// It returns speedups[scheme][scatterIdx].
-func Sweep(cfg Config, scatterCounts []int, threads int) map[Scheme][]float64 {
-	out := make(map[Scheme][]float64)
-	for _, sc := range scatterCounts {
-		c := cfg
-		c.Scatters = sc
-		// Fresh machine per scheme for independence; HT disabled per the
-		// paper ("to avoid artifacts from L1 data cache sharing, we disable
-		// Hyper-Threading").
-		mcfg := sim.DefaultConfig()
-		mcfg.DisableHT = true
-		ref := func() uint64 {
-			m := sim.New(mcfg)
-			mesh := NewMesh(m, c)
-			return Run(m, mesh, Serial, 1).Cycles
-		}()
-		for _, s := range Schemes {
-			m := sim.New(mcfg)
-			mesh := NewMesh(m, c)
-			r := Run(m, mesh, s, threads)
-			out[s] = append(out[s], float64(ref)/float64(r.Cycles))
-		}
-	}
-	return out
-}

@@ -77,6 +77,26 @@ func TestNoContentionMeansFewAborts(t *testing.T) {
 	}
 }
 
+// speedups runs every scheme at the given thread count on a fresh HT-off
+// machine per scatter count and returns its speedup over the serial
+// reference, indexed [scheme][scatterIdx].
+func speedups(cfg Config, scatterCounts []int, threads int) map[Scheme][]float64 {
+	out := make(map[Scheme][]float64)
+	for _, sc := range scatterCounts {
+		c := cfg
+		c.Scatters = sc
+		run := func(s Scheme, th int) uint64 {
+			m := machHTOff()
+			return Run(m, NewMesh(m, c), s, th).Cycles
+		}
+		ref := run(Serial, 1)
+		for _, s := range Schemes {
+			out[s] = append(out[s], float64(ref)/float64(run(s, threads)))
+		}
+	}
+	return out
+}
+
 // TestFigure1Shape pins the published qualitative result: at one scatter the
 // atomic version wins and TM is moderately behind, the lock version is far
 // behind; batching 3-4 scatters lets Large TM overtake Small Atomic while
@@ -84,7 +104,7 @@ func TestNoContentionMeansFewAborts(t *testing.T) {
 func TestFigure1Shape(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ZonesPerPartition = 96
-	res := Sweep(cfg, []int{1, 4}, 4)
+	res := speedups(cfg, []int{1, 4}, 4)
 	at1 := func(s Scheme) float64 { return res[s][0] }
 	at4 := func(s Scheme) float64 { return res[s][1] }
 
@@ -99,20 +119,6 @@ func TestFigure1Shape(t *testing.T) {
 	}
 	if !(at4(LargeCritical) < 1) {
 		t.Errorf("LargeCritical (%.2f) should stay below serial", at4(LargeCritical))
-	}
-}
-
-func TestSweepShapes(t *testing.T) {
-	cfg := smallCfg()
-	scatters := []int{1, 2}
-	res := Sweep(cfg, scatters, 4)
-	if len(res) != len(Schemes) {
-		t.Fatalf("sweep returned %d schemes", len(res))
-	}
-	for s, ys := range res {
-		if len(ys) != len(scatters) {
-			t.Fatalf("%v: %d points, want %d", s, len(ys), len(scatters))
-		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (the per-experiment index in DESIGN.md §3) from the
 // reimplemented systems, rendering each as a text table with the same rows
-// and series the paper reports. The cmd/ tools and the root benchmark
-// harness are thin wrappers around these functions.
+// and series the paper reports. cmd/reproduce renders each as one catalog
+// section; the root benchmarks and hostbench drive the same Suite methods.
 //
 // Every simulation cell — one (workload, mode, threads, config) execution on
 // a private sim.Machine — is dispatched through a runner.Engine: cells fan
@@ -48,34 +48,6 @@ type Suite struct {
 // (<= 0 means GOMAXPROCS).
 func NewSuite(parallel int) *Suite { return &Suite{E: runner.New(parallel)} }
 
-// Default is the process-wide suite behind the package-level experiment
-// functions, so independent callers (cmd tools, benchmarks) share one memo
-// cache.
-var Default = NewSuite(0)
-
-// Package-level wrappers preserve the original API on the Default suite.
-
-func Figure1() (*harness.Figure, error)                 { return Default.Figure1() }
-func Figure2() (*harness.Table, error)                  { return Default.Figure2() }
-func Table1() (*harness.Table, error)                   { return Default.Table1() }
-func Figure3() (*harness.Table, error)                  { return Default.Figure3() }
-func Figure4() (*harness.Table, float64, error)         { return Default.Figure4() }
-func Figure5a() (*harness.Figure, error)                { return Default.Figure5a() }
-func Figure5b() (*harness.Figure, error)                { return Default.Figure5b() }
-func Figure6() (*harness.Table, float64, error)         { return Default.Figure6() }
-func RetrySweep(budgets []int) (*harness.Figure, error) { return Default.RetrySweep(budgets) }
-func HTCapacityAblation() (*harness.Table, error)       { return Default.HTCapacityAblation() }
-func ConflictWiringAblation() (*harness.Figure, error)  { return Default.ConflictWiringAblation() }
-func AdaptiveCoarseningAblation() (*harness.Table, error) {
-	return Default.AdaptiveCoarseningAblation()
-}
-func LocksetAblation() (*harness.Table, error) { return Default.LocksetAblation() }
-func AbortAnatomy() (string, error)            { return Default.AbortAnatomy() }
-func ModelAnatomy() (*harness.Table, error)    { return Default.ModelAnatomy() }
-func ScalingCurve() (*harness.Table, *harness.Table, error) {
-	return Default.ScalingCurve()
-}
-
 // simCell is the result of an experiment-local simulation job: the headline
 // cycle count, an experiment-specific metric, and the simulated event count
 // for throughput accounting.
@@ -91,16 +63,9 @@ func (r simCell) SimEvents() uint64 { return r.Events }
 // Cell submitters. Keys fully determine the simulation, so equal keys from
 // different experiments share one run.
 
-// StampCell submits one STAMP cell; cmd/stamp's one-off paths share it so
-// their cells hit the same memo and persistent-cache entries as Figure 2 /
-// Table 1.
-func (s *Suite) StampCell(name string, mo tm.Mode, th int) runner.Future[stamp.Result] {
+func (s *Suite) stampCell(name string, mo tm.Mode, th int) runner.Future[stamp.Result] {
 	key := runner.Key(fmt.Sprintf("stamp/%s/%s/%dT", name, mo, th))
 	return runner.Submit(s.E, key, func() (stamp.Result, error) { return stamp.Execute(name, mo, th) })
-}
-
-func (s *Suite) stampCell(name string, mo tm.Mode, th int) runner.Future[stamp.Result] {
-	return s.StampCell(name, mo, th)
 }
 
 func (s *Suite) rmstmCell(name string, sc rmstm.Scheme, th, nLocks int) runner.Future[rmstm.Result] {
@@ -121,72 +86,15 @@ func (s *Suite) netCell(name string, mode core.LockMode) runner.Future[netapps.R
 // clompCell runs one Figure 1 cell: the paper's CLOMP-TM configuration with
 // the given scatter count, Hyper-Threading disabled.
 func (s *Suite) clompCell(scatters int, scheme clomp.Scheme, threads int) runner.Future[clomp.Result] {
-	cfg := clomp.DefaultConfig()
-	cfg.Scatters = scatters
-	return s.clompCellCfg(cfg, scheme, threads)
-}
-
-// clompCellCfg runs one CLOMP-TM cell under an arbitrary configuration
-// (Hyper-Threading disabled, per the paper). A cell at the default
-// configuration keys identically to Figure 1's cells so cmd/clomptm sweeps
-// share them; any nondefault knob switches to a key spelling out the whole
-// configuration, so distinct meshes can never collide.
-func (s *Suite) clompCellCfg(cfg clomp.Config, scheme clomp.Scheme, threads int) runner.Future[clomp.Result] {
-	base, def := cfg, clomp.DefaultConfig()
-	def.Scatters = base.Scatters
-	var key runner.Key
-	if base == def {
-		key = runner.Key(fmt.Sprintf("clomp/sc%d/%s/%dT", cfg.Scatters, scheme, threads))
-	} else {
-		key = runner.Key(fmt.Sprintf("clomp/%+v/%s/%dT", cfg, scheme, threads))
-	}
+	key := runner.Key(fmt.Sprintf("clomp/sc%d/%s/%dT", scatters, scheme, threads))
 	return runner.Submit(s.E, key, func() (clomp.Result, error) {
+		cfg := clomp.DefaultConfig()
+		cfg.Scatters = scatters
 		mcfg := sim.DefaultConfig()
 		mcfg.DisableHT = true
 		m := sim.New(mcfg)
-		mesh := clomp.NewMesh(m, cfg)
-		return clomp.Run(m, mesh, scheme, threads), nil
+		return clomp.Run(m, clomp.NewMesh(m, cfg), scheme, threads), nil
 	})
-}
-
-// ClompSweep renders a Figure 1-style sweep (speedup over serial across
-// scatter counts) for an arbitrary CLOMP-TM configuration through the cell
-// engine, giving cmd/clomptm memoization, host parallelism, and the
-// persistent cache for free.
-func (s *Suite) ClompSweep(cfg clomp.Config, scatters []int, threads int) (*harness.Figure, error) {
-	refs := make([]runner.Future[clomp.Result], len(scatters))
-	cells := make(map[clomp.Scheme][]runner.Future[clomp.Result])
-	for i, sc := range scatters {
-		c := cfg
-		c.Scatters = sc
-		refs[i] = s.clompCellCfg(c, clomp.Serial, 1)
-		for _, sch := range clomp.Schemes {
-			cells[sch] = append(cells[sch], s.clompCellCfg(c, sch, threads))
-		}
-	}
-	fig := &harness.Figure{
-		Title:  fmt.Sprintf("Figure 1 — CLOMP-TM, %d threads: speedup vs serial", threads),
-		XLabel: "scatters",
-	}
-	for _, sc := range scatters {
-		fig.XTicks = append(fig.XTicks, fmt.Sprint(sc))
-	}
-	for _, sch := range clomp.Schemes {
-		series := harness.Series{Name: sch.String()}
-		for i := range scatters {
-			ref, err := refs[i].Wait()
-			if err != nil {
-				return nil, err
-			}
-			r, err := cells[sch][i].Wait()
-			if err != nil {
-				return nil, err
-			}
-			series.Y = append(series.Y, float64(ref.Cycles)/float64(r.Cycles))
-		}
-		fig.Series = append(fig.Series, series)
-	}
-	return fig, nil
 }
 
 // figure1Scatters are the scatter counts Figure 1 sweeps; Large TM crosses

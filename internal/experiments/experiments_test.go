@@ -9,8 +9,12 @@ import (
 // these tests cover the fast experiments end-to-end and spot-check the
 // rendered output of the sweeping ones via their building blocks.
 
+// shared is the suite the single-experiment tests run on, so cells common
+// to several of them simulate once per test binary.
+var shared = NewSuite(0)
+
 func TestFigure1RendersAllSchemes(t *testing.T) {
-	fig, err := Figure1()
+	fig, err := shared.Figure1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +30,7 @@ func TestFigure1RendersAllSchemes(t *testing.T) {
 }
 
 func TestRetrySweepShape(t *testing.T) {
-	fig, err := RetrySweep([]int{1, 6})
+	fig, err := shared.RetrySweep([]int{1, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +46,7 @@ func TestRetrySweepShape(t *testing.T) {
 }
 
 func TestHTCapacityAblationMonotone(t *testing.T) {
-	tab, err := HTCapacityAblation()
+	tab, err := shared.HTCapacityAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +60,7 @@ func TestHTCapacityAblationMonotone(t *testing.T) {
 }
 
 func TestConflictWiringAblationRises(t *testing.T) {
-	fig, err := ConflictWiringAblation()
+	fig, err := shared.ConflictWiringAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +79,7 @@ func TestConflictWiringAblationRises(t *testing.T) {
 }
 
 func TestLocksetAblationElisionWins(t *testing.T) {
-	tab, err := LocksetAblation()
+	tab, err := shared.LocksetAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +94,7 @@ func TestLocksetAblationElisionWins(t *testing.T) {
 }
 
 func TestAdaptiveCoarseningAblation(t *testing.T) {
-	tab, err := AdaptiveCoarseningAblation()
+	tab, err := shared.AdaptiveCoarseningAblation()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,17 +3,10 @@ package memo
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"hash"
 	"io"
-	"io/fs"
 	"os"
-	"path/filepath"
-	"runtime"
 	"runtime/debug"
-	"sort"
-	"strings"
 	"sync"
 
 	"tsxhpc/internal/sim"
@@ -57,18 +50,18 @@ var codeFP struct {
 	err  error
 }
 
-// CodeFingerprint identifies the simulator build. In order of preference:
+// CodeFingerprint identifies the simulator build:
 //
 //  1. the VCS revision stamped into the binary, when the tree was clean
 //     ("vcs:<rev>");
-//  2. a hash of every .go source file under the module's internal/ tree
-//     ("src:<hash>") — the dirty-tree and `go run`/`go test` path;
-//  3. a hash of the executable itself ("exe:<hash>") — source tree
-//     unavailable, but the compiled code still invalidates on change.
+//  2. otherwise a hash of the running executable ("exe:<hash>") — the
+//     dirty-tree, `go run` and `go test` path. Go builds are reproducible,
+//     so the same sources build the same bytes, and any code change
+//     compiled into the binary moves it to a fresh namespace.
 //
-// All three are deterministic functions of the code; if none is computable
-// the error tells callers to run without a persistent cache rather than
-// risk serving stale results.
+// Both are functions of the running code alone, never of the working
+// directory. If neither is computable the error tells callers to run
+// without a persistent cache rather than risk serving stale results.
 func CodeFingerprint() (string, error) {
 	codeFP.once.Do(func() { codeFP.v, codeFP.err = computeCodeFingerprint() })
 	return codeFP.v, codeFP.err
@@ -90,92 +83,24 @@ func computeCodeFingerprint() (string, error) {
 			return "vcs:" + rev, nil
 		}
 	}
-	if h, err := sourceHash(); err == nil {
-		return "src:" + h, nil
-	}
-	if exe, err := os.Executable(); err == nil {
-		if h, err := fileHash(exe); err == nil {
+	exe, err := os.Executable()
+	if err == nil {
+		var h string
+		if h, err = fileHash(exe); err == nil {
 			return "exe:" + h, nil
 		}
 	}
-	return "", errors.New("memo: cannot fingerprint the build (no clean VCS stamp, no source tree, no readable executable); run with the cache off")
-}
-
-// sourceHash hashes every .go file under <module root>/internal, sorted by
-// path, so any simulator edit — including to files not yet compiled into
-// the running test binary's package — changes the fingerprint.
-func sourceHash() (string, error) {
-	root, err := moduleRoot()
-	if err != nil {
-		return "", err
-	}
-	var files []string
-	err = filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && strings.HasSuffix(path, ".go") {
-			files = append(files, path)
-		}
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	if len(files) == 0 {
-		return "", errors.New("memo: no sources under " + root)
-	}
-	sort.Strings(files)
-	h := sha256.New()
-	for _, f := range files {
-		rel, _ := filepath.Rel(root, f)
-		fmt.Fprintf(h, "%s\n", filepath.ToSlash(rel))
-		if err := hashFileInto(h, f); err != nil {
-			return "", err
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16], nil
-}
-
-// moduleRoot finds the tsxhpc module root by walking up from the working
-// directory and, failing that, from this source file's compile-time path.
-func moduleRoot() (string, error) {
-	var starts []string
-	if wd, err := os.Getwd(); err == nil {
-		starts = append(starts, wd)
-	}
-	if _, file, _, ok := runtime.Caller(0); ok {
-		starts = append(starts, filepath.Dir(file))
-	}
-	for _, start := range starts {
-		for dir := start; ; {
-			if b, err := os.ReadFile(filepath.Join(dir, "go.mod")); err == nil &&
-				strings.HasPrefix(strings.TrimSpace(string(b)), "module tsxhpc") {
-				return dir, nil
-			}
-			parent := filepath.Dir(dir)
-			if parent == dir {
-				break
-			}
-			dir = parent
-		}
-	}
-	return "", errors.New("memo: module root not found")
-}
-
-func hashFileInto(h hash.Hash, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	_, err = io.Copy(h, f)
-	return err
+	return "", fmt.Errorf("memo: cannot fingerprint the build (no clean VCS stamp, executable unreadable: %v); run with the cache off", err)
 }
 
 func fileHash(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
 	h := sha256.New()
-	if err := hashFileInto(h, path); err != nil {
+	if _, err := io.Copy(h, f); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16], nil

@@ -412,7 +412,8 @@ func TestFingerprintInvalidation(t *testing.T) {
 }
 
 // TestModelFingerprint: the live fingerprint is computable in this
-// environment (source tree present) and stable within a process.
+// environment (clean VCS stamp or readable executable) and stable within
+// a process.
 func TestModelFingerprint(t *testing.T) {
 	a, err := ModelFingerprint()
 	if err != nil {
@@ -421,6 +422,41 @@ func TestModelFingerprint(t *testing.T) {
 	b, err := ModelFingerprint()
 	if err != nil || a != b || a == "" {
 		t.Fatalf("ModelFingerprint unstable: %q vs %q (%v)", a, b, err)
+	}
+}
+
+// TestCodeFingerprintIgnoresWorkingDirectory: the code fingerprint names
+// the running build, so moving into another tsxhpc module — one with
+// different sources under internal/ — must not change it.
+func TestCodeFingerprintIgnoresWorkingDirectory(t *testing.T) {
+	here, err := computeCodeFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake := t.TempDir()
+	if err := os.WriteFile(filepath.Join(fake, "go.mod"), []byte("module tsxhpc\n\ngo 1.23\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(fake, "internal", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(fake, "internal", "x", "x.go"), []byte("package x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(fake); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	there, err := computeCodeFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if there != here {
+		t.Fatalf("code fingerprint follows the working directory: %s in the checkout, %s in a fake module", here, there)
 	}
 }
 

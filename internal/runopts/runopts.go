@@ -1,12 +1,12 @@
-// Package runopts is the shared experiment-runner flag plumbing for every
-// cmd binary: host parallelism (-parallel), deterministic fault injection
-// (-chaos at the machine level, -poison at the job level), robustness
+// Package runopts is the experiment-runner flag plumbing cmd/reproduce and
+// cmd/verify share: host parallelism (-parallel), deterministic fault
+// injection (-chaos at the machine level, -poison at the job level), robustness
 // budgets (-maxcycles, -stallcycles), the quarantine cap (-quarantine), and
 // the persistent result cache (-cache), which is also the resume point: a
 // rerun against the same cache serves every cell an interrupted run
-// finished. cmd/reproduce and the per-figure tools
-// (stamp, rmstm, apps, netbench, clomptm) all register the same flags and
-// funnel them through Setup, so a knob added here reaches every binary.
+// finished. Both commands register the same flags; cmd/reproduce and
+// hostbench funnel them through Setup to build an experiment suite, while
+// cmd/verify reads the fields it applies to the machines it builds itself.
 package runopts
 
 import (
@@ -215,19 +215,6 @@ func (o *Options) ArmPoison(e *runner.Engine, warn io.Writer) {
 	})
 }
 
-// ReportSupervision lists the quarantined cells on w (stderr by convention:
-// it is diagnostics, stdout stays byte-identical). Silent when nothing
-// failed.
-func ReportSupervision(w io.Writer, e *runner.Engine) {
-	q := e.Quarantined()
-	for _, k := range q {
-		fmt.Fprintf(w, "supervise: %s quarantined\n", k)
-	}
-	if len(q) > 0 {
-		fmt.Fprintf(w, "supervise: %d cell(s) quarantined\n", len(q))
-	}
-}
-
 // EffectiveStallCycles resolves the livelock-watchdog window: an explicit
 // -stallcycles wins; otherwise -chaos arms the default, and faults-off runs
 // leave the watchdog disarmed.
@@ -284,7 +271,7 @@ func (o *Options) Setup(warn io.Writer) (suite *experiments.Suite, store *memo.S
 }
 
 // Banner writes the chaos banner exactly as cmd/reproduce always has, so
-// every binary reports fault injection the same way.
+// both commands report fault injection the same way.
 func (o *Options) Banner(w io.Writer) {
 	if o.ChaosSet {
 		fmt.Fprintf(w, "chaos: fault injection enabled (seed %d)\n", o.ChaosSeed)

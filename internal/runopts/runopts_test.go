@@ -8,12 +8,14 @@ import (
 	"strings"
 	"testing"
 
+	"tsxhpc/internal/runner"
 	"tsxhpc/internal/sim"
+	"tsxhpc/internal/stamp"
 	"tsxhpc/internal/tm"
 )
 
 // parse registers the shared flags on a fresh FlagSet, parses args, and runs
-// Finish — the exact sequence every cmd binary performs.
+// Finish — the exact sequence both commands perform.
 func parse(t *testing.T, args ...string) (*Options, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -200,7 +202,8 @@ func TestObservabilitySidecars(t *testing.T) {
 	if d := sim.GetRunDefaults(); !d.Metrics || d.TraceEvents != DefaultTraceEvents {
 		t.Fatalf("run defaults not armed: %+v", d)
 	}
-	if _, err := suite.StampCell("kmeans", tm.TSX, 2).Wait(); err != nil {
+	kmeans := func() (stamp.Result, error) { return stamp.Execute("kmeans", tm.TSX, 2) }
+	if _, err := runner.Submit(suite.E, "stamp/kmeans/tsx/2T", kmeans).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.WriteObservability("tool", &warn); err != nil {

@@ -68,24 +68,3 @@ func TestArmPoison(t *testing.T) {
 		t.Fatalf("blank -poison armed a hook: err=%v warn=%q", err, warn.String())
 	}
 }
-
-// TestReportSupervision: silent on a clean run; failures list the sorted
-// quarantined cells with a total.
-func TestReportSupervision(t *testing.T) {
-	e := runner.New(1)
-	o := Options{Poison: "dead/"}
-	o.ArmPoison(e, &strings.Builder{})
-	var out strings.Builder
-	ReportSupervision(&out, e)
-	if out.Len() != 0 {
-		t.Fatalf("clean engine reported: %q", out.String())
-	}
-	runner.Do(e, "dead/y", func() (int, error) { return 0, nil })
-	runner.Do(e, "dead/x", func() (int, error) { return 0, nil })
-	runner.Do(e, "ok/x", func() (int, error) { return 1, nil })
-	ReportSupervision(&out, e)
-	want := "supervise: dead/x quarantined\nsupervise: dead/y quarantined\nsupervise: 2 cell(s) quarantined\n"
-	if out.String() != want {
-		t.Fatalf("report = %q, want %q", out.String(), want)
-	}
-}
