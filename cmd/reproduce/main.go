@@ -65,6 +65,7 @@ import (
 	"time"
 
 	"tsxhpc/internal/experiments"
+	"tsxhpc/internal/harness"
 	"tsxhpc/internal/memo"
 	"tsxhpc/internal/runopts"
 )
@@ -94,34 +95,10 @@ type experiment struct {
 }
 
 var catalog = []experiment{
-	{"E1", "E1", func(s *experiments.Suite) (string, error) {
-		f, err := s.Figure1()
-		if err != nil {
-			return "", err
-		}
-		return f.Render(), nil
-	}},
-	{"E2", "E2", func(s *experiments.Suite) (string, error) {
-		t, err := s.Figure2()
-		if err != nil {
-			return "", err
-		}
-		return t.Render(), nil
-	}},
-	{"E3", "E3", func(s *experiments.Suite) (string, error) {
-		t, err := s.Table1()
-		if err != nil {
-			return "", err
-		}
-		return t.Render(), nil
-	}},
-	{"E4", "E4", func(s *experiments.Suite) (string, error) {
-		t, err := s.Figure3()
-		if err != nil {
-			return "", err
-		}
-		return t.Render(), nil
-	}},
+	{"E1", "E1", rendered((*experiments.Suite).Figure1)},
+	{"E2", "E2", rendered((*experiments.Suite).Figure2)},
+	{"E3", "E3", rendered((*experiments.Suite).Table1)},
+	{"E4", "E4", rendered((*experiments.Suite).Figure3)},
 	{"E5", "E5", func(s *experiments.Suite) (string, error) {
 		t, gain, err := s.Figure4()
 		if err != nil {
@@ -129,20 +106,8 @@ var catalog = []experiment{
 		}
 		return t.Render() + fmt.Sprintf("tsx.coarsen over baseline @8T (geomean): %.2fx (paper: 1.41x mean)\n", gain), nil
 	}},
-	{"E6", "E6", func(s *experiments.Suite) (string, error) {
-		f, err := s.Figure5a()
-		if err != nil {
-			return "", err
-		}
-		return f.Render(), nil
-	}},
-	{"E7", "E7", func(s *experiments.Suite) (string, error) {
-		f, err := s.Figure5b()
-		if err != nil {
-			return "", err
-		}
-		return f.Render(), nil
-	}},
+	{"E6", "E6", rendered((*experiments.Suite).Figure5a)},
+	{"E7", "E7", rendered((*experiments.Suite).Figure5b)},
 	{"E8", "E8", func(s *experiments.Suite) (string, error) {
 		t, gain, err := s.Figure6()
 		if err != nil {
@@ -150,51 +115,13 @@ var catalog = []experiment{
 		}
 		return t.Render() + fmt.Sprintf("tsx.busywait average gain over mutex: %.2fx (paper: 1.31x)\n", gain), nil
 	}},
-	{"E9", "E9", func(s *experiments.Suite) (string, error) {
-		f, err := s.RetrySweep([]int{1, 2, 3, 4, 5, 6, 8, 10})
-		if err != nil {
-			return "", err
-		}
-		return f.Render(), nil
-	}},
-	{"ablation: HT capacity", "A1", func(s *experiments.Suite) (string, error) {
-		t, err := s.HTCapacityAblation()
-		if err != nil {
-			return "", err
-		}
-		return t.Render(), nil
-	}},
-	{"ablation: conflict wiring", "A2", func(s *experiments.Suite) (string, error) {
-		f, err := s.ConflictWiringAblation()
-		if err != nil {
-			return "", err
-		}
-		return f.Render(), nil
-	}},
-	{"ablation: lockset elision", "A3", func(s *experiments.Suite) (string, error) {
-		t, err := s.LocksetAblation()
-		if err != nil {
-			return "", err
-		}
-		return t.Render(), nil
-	}},
-	{"ablation: adaptive coarsening", "A4", func(s *experiments.Suite) (string, error) {
-		t, err := s.AdaptiveCoarseningAblation()
-		if err != nil {
-			return "", err
-		}
-		return t.Render(), nil
-	}},
-	{"abort anatomy", "A5", func(s *experiments.Suite) (string, error) {
-		return s.AbortAnatomy()
-	}},
-	{"model anatomy", "A7", func(s *experiments.Suite) (string, error) {
-		t, err := s.ModelAnatomy()
-		if err != nil {
-			return "", err
-		}
-		return t.Render(), nil
-	}},
+	{"E9", "E9", rendered(func(s *experiments.Suite) (*harness.Figure, error) { return s.RetrySweep(experiments.RetryBudgets) })},
+	{"ablation: HT capacity", "A1", rendered((*experiments.Suite).HTCapacityAblation)},
+	{"ablation: conflict wiring", "A2", rendered((*experiments.Suite).ConflictWiringAblation)},
+	{"ablation: lockset elision", "A3", rendered((*experiments.Suite).LocksetAblation)},
+	{"ablation: adaptive coarsening", "A4", rendered((*experiments.Suite).AdaptiveCoarseningAblation)},
+	{"abort anatomy", "A5", (*experiments.Suite).AbortAnatomy},
+	{"model anatomy", "A7", rendered((*experiments.Suite).ModelAnatomy)},
 	{"scaling curves", "A6", func(s *experiments.Suite) (string, error) {
 		coresT, clientsT, err := s.ScalingCurve()
 		if err != nil {
@@ -202,6 +129,17 @@ var catalog = []experiment{
 		}
 		return coresT.Render() + clientsT.Render(), nil
 	}},
+}
+
+// rendered adapts a section that returns one table or figure.
+func rendered[T interface{ Render() string }](section func(*experiments.Suite) (T, error)) func(*experiments.Suite) (string, error) {
+	return func(s *experiments.Suite) (string, error) {
+		r, err := section(s)
+		if err != nil {
+			return "", err
+		}
+		return r.Render(), nil
+	}
 }
 
 // benchRow is one experiment's host-performance record.

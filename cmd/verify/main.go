@@ -173,6 +173,11 @@ func run(o options, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "verify: -metrics, -metricsout and -trace are not supported (use reproduce for metrics and traces)")
 		return exitUsage
 	}
+	// Seeds are cheap and rerun from scratch; there is no store to open.
+	if o.CacheSet {
+		fmt.Fprintln(stderr, "verify: -cache is not supported (verify keeps no result store; a rerun starts over)")
+		return exitUsage
+	}
 	sockets, cores, tpc, err := parseTopology(o.topology)
 	if err != nil {
 		fmt.Fprintf(stderr, "verify: %v\n", err)

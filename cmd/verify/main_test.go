@@ -88,6 +88,7 @@ func TestVerifyUsageErrors(t *testing.T) {
 		{"zero seeds", options{seeds: 0, engines: "tsx"}, "-seeds must be positive"},
 		{"metrics", options{seeds: 5, engines: "tsx", Options: runopts.Options{Metrics: true}}, "-metrics, -metricsout and -trace are not supported"},
 		{"trace", options{seeds: 5, engines: "tsx", Options: runopts.Options{TracePath: "t.json"}}, "-metrics, -metricsout and -trace are not supported"},
+		{"cache", options{seeds: 5, engines: "tsx", Options: runopts.Options{Cache: "memo", CacheSet: true}}, "-cache is not supported"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

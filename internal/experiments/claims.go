@@ -11,7 +11,6 @@ import (
 	"tsxhpc/internal/harness"
 	"tsxhpc/internal/netapps"
 	"tsxhpc/internal/rmstm"
-	"tsxhpc/internal/runner"
 	"tsxhpc/internal/stamp"
 	"tsxhpc/internal/tm"
 )
@@ -23,8 +22,11 @@ import (
 // three outcomes. It holds when every item meets the target; it deviates
 // when some item misses the target but sits inside a band pinned for that
 // item, and EXPERIMENTS.md explains the miss; otherwise it fails. Claims
-// submits the same cell keys as the experiments, so on a suite that already
-// rendered them (or shares their memo store) it simulates nothing.
+// submits no cell of its own: it reads the grids the figures collect
+// (figure1Cells, stampCells, figure3Cells, appsCells, figure6Cells,
+// scaleCells and the E9 budgets), so a claim judges exactly the values its
+// figure renders, and on a suite that already rendered them (or shares
+// their memo store) it simulates nothing.
 
 // Outcome is a claim's verdict.
 type Outcome uint8
@@ -155,86 +157,47 @@ const (
 // (over 30% of its time in critical sections).
 var sglCollapses = map[string]bool{"fluidanimate": true, "utilitymine": true}
 
-// waitAll waits for every future in futs and maps each key to val of its
-// result.
-func waitAll[K comparable, R, V any](futs map[K]runner.Future[R], val func(R) V) (map[K]V, error) {
-	out := make(map[K]V, len(futs))
-	for k, f := range futs {
-		r, err := f.Wait()
-		if err != nil {
-			return nil, err
-		}
-		out[k] = val(r)
-	}
-	return out, nil
-}
-
-// retryBudgets are the budgets E9 sweeps.
-var retryBudgets = []int{1, 2, 3, 4, 5, 6, 8, 10}
-
 // Claims evaluates the Figure 1-6, Table 1, A6 and E9 claims.
 func (s *Suite) Claims() ([]ClaimResult, error) {
-	names := stamp.Names()
-	type stampKey struct {
-		name string
-		mo   tm.Mode
-		th   int
-	}
-	stampFuts := map[stampKey]runner.Future[stamp.Result]{}
-	for _, name := range names {
-		need := []stampKey{{name, tm.SGL, 1}, {name, tm.TL2, 1}}
-		for _, th := range Threads {
-			need = append(need, stampKey{name, tm.TSX, th})
-		}
-		for _, k := range need {
-			stampFuts[k] = s.stampCell(k.name, k.mo, k.th)
-		}
-	}
-	type scaleKey struct {
-		mod            string
-		cores, clients int
-	}
-	scaleFuts := map[scaleKey]runner.Future[netapps.ScaleResult]{}
-	for _, mod := range netapps.ScaleModules {
-		for _, cores := range scaleCoreAxis {
-			scaleFuts[scaleKey{mod.Name, cores, scaleFixedClients}] = s.scaleCell(mod, cores, scaleFixedClients)
-		}
-		for _, clients := range scaleClientAxis {
-			scaleFuts[scaleKey{mod.Name, scaleFixedCores, clients}] = s.scaleCell(mod, scaleFixedCores, clients)
-		}
-	}
-	stampRes, err := waitAll(stampFuts, func(r stamp.Result) stamp.Result { return r })
+	st, err := s.stampCells(figure2Modes)
 	if err != nil {
 		return nil, err
 	}
-	bw, err := waitAll(scaleFuts, netapps.ScaleResult.Bandwidth)
+	scale, err := s.scaleCells()
 	if err != nil {
 		return nil, err
 	}
 	norm1T := func(name string, mo tm.Mode) float64 {
-		return float64(stampRes[stampKey{name, mo, 1}].Cycles) / float64(stampRes[stampKey{name, tm.SGL, 1}].Cycles)
+		return float64(st[stampKey{name, mo, 1}].Cycles) / float64(st[stampKey{name, tm.SGL, 1}].Cycles)
 	}
 
 	var tl2Over, tsx1T, ssca2, ht []item
-	for _, name := range names {
+	for _, name := range stamp.Names() {
 		if name != "labyrinth" { // the STM-friendly exception: its tl2 port skips the grid copy
 			v := norm1T(name, tm.TL2)
 			tl2Over = append(tl2Over, item{name, v, v >= tl2OverheadMin})
 		}
 		v := norm1T(name, tm.TSX)
 		tsx1T = append(tsx1T, item{name, v, math.Abs(v-1) <= tsxNearSGL})
-		r4, r8 := stampRes[stampKey{name, tm.TSX, 4}].AbortRate, stampRes[stampKey{name, tm.TSX, 8}].AbortRate
+		r4, r8 := st[stampKey{name, tm.TSX, 4}].AbortRate, st[stampKey{name, tm.TSX, 8}].AbortRate
 		ht = append(ht, item{name, r8 - r4, r8 > r4})
 	}
 	for _, th := range Threads {
-		v := stampRes[stampKey{"ssca2", tm.TSX, th}].AbortRate
+		v := st[stampKey{"ssca2", tm.TSX, th}].AbortRate
 		ssca2 = append(ssca2, item{fmt.Sprintf("%dT", th), v, v <= ssca2AbortMax})
 	}
 
-	gl64 := bw[scaleKey{"global-lock", 64, scaleFixedClients}] / bw[scaleKey{"global-lock", 16, scaleFixedClients}]
+	mods := map[string]netapps.ScaleModule{}
+	for _, mod := range netapps.ScaleModules {
+		mods[mod.Name] = mod
+	}
+	bw := func(mod string, cores, clients int) float64 {
+		return scale[scaleKey{mods[mod], cores, clients}].Bandwidth()
+	}
+	gl64 := bw("global-lock", 64, scaleFixedClients) / bw("global-lock", 16, scaleFixedClients)
 	var tracks, plateau []item
 	track := func(cores, clients int) {
-		v := bw[scaleKey{"tsx", cores, clients}] / bw[scaleKey{"fine-grained", cores, clients}]
+		v := bw("tsx", cores, clients) / bw("fine-grained", cores, clients)
 		tracks = append(tracks, item{fmt.Sprintf("%dC/%d", cores, clients), v, math.Abs(v-1) <= tsxTracksFG})
 	}
 	for _, cores := range scaleCoreAxis {
@@ -247,7 +210,7 @@ func (s *Suite) Claims() ([]ClaimResult, error) {
 	}
 	top, prev := scaleClientAxis[len(scaleClientAxis)-1], scaleClientAxis[len(scaleClientAxis)-2]
 	for _, mod := range netapps.ScaleModules {
-		v := bw[scaleKey{mod.Name, scaleFixedCores, top}] / bw[scaleKey{mod.Name, scaleFixedCores, prev}]
+		v := bw(mod.Name, scaleFixedCores, top) / bw(mod.Name, scaleFixedCores, prev)
 		plateau = append(plateau, item{mod.Name, v, math.Abs(v-1) <= clientPlateauMax})
 	}
 
@@ -271,48 +234,17 @@ func (s *Suite) Claims() ([]ClaimResult, error) {
 }
 
 // kernelClaims evaluates the Figure 1, Figure 3 and Figure 6 claims over
-// the CLOMP-TM, RMS-TM and TCP/IP stack cells.
+// the CLOMP-TM, RMS-TM and TCP/IP stack grids.
 func (s *Suite) kernelClaims() ([]ClaimResult, error) {
-	type clompKey struct {
-		scatters int
-		scheme   clomp.Scheme
-	}
-	clompFuts := map[clompKey]runner.Future[clomp.Result]{}
-	for _, sc := range figure1Scatters {
-		for _, sch := range clomp.Schemes {
-			clompFuts[clompKey{sc, sch}] = s.clompCell(sc, sch, 4)
-		}
-	}
-	type rmsKey struct {
-		name string
-		sc   rmstm.Scheme
-		th   int
-	}
-	rmsFuts := map[rmsKey]runner.Future[rmstm.Result]{}
-	for _, name := range rmstm.Names() {
-		for _, k := range []rmsKey{{name, rmstm.FGL, 1}, {name, rmstm.FGL, 8}, {name, rmstm.SGLScheme, 8}, {name, rmstm.TSXScheme, 8}} {
-			rmsFuts[k] = s.rmstmCell(k.name, k.sc, k.th, rmstm.DefaultLocks)
-		}
-	}
-	type netKey struct {
-		name string
-		mode core.LockMode
-	}
-	netFuts := map[netKey]runner.Future[netapps.Result]{}
-	for _, name := range netapps.Names() {
-		for _, mo := range netapps.Modes {
-			netFuts[netKey{name, mo}] = s.netCell(name, mo)
-		}
-	}
-	clompCyc, err := waitAll(clompFuts, func(r clomp.Result) uint64 { return r.Cycles })
+	clompRes, err := s.figure1Cells()
 	if err != nil {
 		return nil, err
 	}
-	rmsCyc, err := waitAll(rmsFuts, func(r rmstm.Result) uint64 { return r.Cycles })
+	rms, err := s.figure3Cells()
 	if err != nil {
 		return nil, err
 	}
-	bw, err := waitAll(netFuts, netapps.Result.Bandwidth)
+	net, err := s.figure6Cells()
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +252,7 @@ func (s *Suite) kernelClaims() ([]ClaimResult, error) {
 	// vsAtomic is a scheme's Figure 1 speedup over Small Atomic's at the
 	// same scatter count (above 1 is faster).
 	vsAtomic := func(sch clomp.Scheme, sc int) float64 {
-		return float64(clompCyc[clompKey{sc, clomp.SmallAtomic}]) / float64(clompCyc[clompKey{sc, sch}])
+		return float64(clompRes[clompKey{sc, clomp.SmallAtomic, 4}].Cycles) / float64(clompRes[clompKey{sc, sch, 4}].Cycles)
 	}
 	var atomicFastest, largeTMCrosses, criticalSlow []item
 	for _, sch := range clomp.Schemes[1:] {
@@ -340,27 +272,24 @@ func (s *Suite) kernelClaims() ([]ClaimResult, error) {
 
 	var sglCollapse, tsxNearFGL []item
 	for _, name := range rmstm.Names() {
-		v := harness.Speedup(rmsCyc[rmsKey{name, rmstm.FGL, 1}], rmsCyc[rmsKey{name, rmstm.SGLScheme, 8}])
+		cyc := func(sc rmstm.Scheme, th int) uint64 { return rms[rmsKey{name, sc, th}].Cycles }
+		v := harness.Speedup(cyc(rmstm.FGL, 1), cyc(rmstm.SGLScheme, 8))
 		sglCollapse = append(sglCollapse, item{name, v, (v < 1) == sglCollapses[name]})
-		v = float64(rmsCyc[rmsKey{name, rmstm.FGL, 8}]) / float64(rmsCyc[rmsKey{name, rmstm.TSXScheme, 8}])
+		v = float64(cyc(rmstm.FGL, 8)) / float64(cyc(rmstm.TSXScheme, 8))
 		tsxNearFGL = append(tsxNearFGL, item{name, v, math.Abs(v-1) <= tsxNearFGL8T})
 	}
 
-	// vsMutex is a mode's Figure 6 bandwidth over the mutex stack's.
-	vsMutex := func(name string, mo core.LockMode) float64 {
-		return bw[netKey{name, mo}] / bw[netKey{name, core.ModeMutex}]
-	}
 	var abortDrop []item
 	var cond, busy []float64
 	for _, name := range netapps.Names() {
-		v := vsMutex(name, core.ModeTSXAbort)
+		v := vsMutex(net, name, core.ModeTSXAbort)
 		ok := v >= 1
 		if name == "netferret" {
 			ok = v <= tsxAbortDrop
 		}
 		abortDrop = append(abortDrop, item{name, v, ok})
-		cond = append(cond, vsMutex(name, core.ModeTSXCond))
-		busy = append(busy, vsMutex(name, core.ModeTSXBusyWait))
+		cond = append(cond, vsMutex(net, name, core.ModeTSXCond))
+		busy = append(busy, vsMutex(net, name, core.ModeTSXBusyWait))
 	}
 	condMean, busyMean := harness.Mean(cond), harness.Mean(busy)
 
@@ -379,70 +308,56 @@ func (s *Suite) kernelClaims() ([]ClaimResult, error) {
 }
 
 // figureClaims evaluates the Figure 4, Figure 5 and E9 claims over the
-// apps cells and the retry sweep's cells.
+// Figure 4 and Figure 5 apps grids and the retry sweep's cells.
 func (s *Suite) figureClaims() ([]ClaimResult, error) {
-	type appKey struct {
-		name, variant string
-		th            int
-	}
-	appFuts := map[appKey]runner.Future[apps.Result]{}
-	submit := func(name, variant string) {
-		for _, th := range Threads {
-			appFuts[appKey{name, variant, th}] = s.appsCell(name, variant, th)
-		}
-	}
-	for _, name := range apps.Names() {
-		for _, v := range apps.FigureVariants {
-			submit(name, v)
-		}
-	}
-	submit("histogram", "privatize")
-	submit("physicsSolver", "barrier")
-	retryFuts := make([]runner.Future[simCell], len(retryBudgets))
-	for i, b := range retryBudgets {
-		retryFuts[i] = s.retryCell(b)
-	}
-	cyc, err := waitAll(appFuts, func(r apps.Result) uint64 { return r.Cycles })
+	fig4, err := s.appsCells(apps.Names(), apps.FigureVariants)
 	if err != nil {
 		return nil, err
 	}
-	best, bestCycles := 0, uint64(math.MaxUint64)
-	for i, f := range retryFuts {
-		r, err := f.Wait()
-		if err != nil {
-			return nil, err
-		}
-		if r.Cycles < bestCycles {
-			best, bestCycles = retryBudgets[i], r.Cycles
+	fig5a, err := s.appsCells([]string{"histogram"}, figure5aVariants)
+	if err != nil {
+		return nil, err
+	}
+	fig5b, err := s.appsCells([]string{"physicsSolver"}, figure5bVariants)
+	if err != nil {
+		return nil, err
+	}
+	retry, err := collect(RetryBudgets, s.retryCell)
+	if err != nil {
+		return nil, err
+	}
+	best := RetryBudgets[0]
+	for _, b := range RetryBudgets {
+		if retry[b].Cycles < retry[best].Cycles {
+			best = b
 		}
 	}
 	// vsBase is a variant's time over the baseline's at the same thread
-	// count (below 1 wins).
-	vsBase := func(name, variant string, th int) float64 {
-		return float64(cyc[appKey{name, variant, th}]) / float64(cyc[appKey{name, "baseline", th}])
+	// count in one apps grid (below 1 wins).
+	vsBase := func(cells map[appKey]apps.Result, name, variant string, th int) float64 {
+		return float64(cells[appKey{name, variant, th}].Cycles) / float64(cells[appKey{name, "baseline", th}].Cycles)
 	}
 
 	var initLoses, coarsenFlips, lowT, highT []item
 	for _, name := range []string{"ua", "histogram"} {
 		for _, th := range Threads {
 			at := fmt.Sprintf("%s/%dT", name, th)
-			v := vsBase(name, "tsx.init", th)
+			v := vsBase(fig4, name, "tsx.init", th)
 			initLoses = append(initLoses, item{at, v, v > 1})
-			v = vsBase(name, "tsx.coarsen", th)
+			v = vsBase(fig4, name, "tsx.coarsen", th)
 			coarsenFlips = append(coarsenFlips, item{at, v, v < 1})
 		}
 	}
-	var gains []float64
-	for _, name := range apps.Names() {
-		gains = append(gains, harness.Speedup(cyc[appKey{name, "baseline", 8}], cyc[appKey{name, "tsx.coarsen", 8}]))
-	}
-	g := harness.Geomean(gains)
-	for _, cf := range []struct{ name, variant string }{{"histogram", "privatize"}, {"physicsSolver", "barrier"}} {
+	g := coarsenGeomean8T(fig4)
+	for _, cf := range []struct {
+		cells         map[appKey]apps.Result
+		name, variant string
+	}{{fig5a, "histogram", "privatize"}, {fig5b, "physicsSolver", "barrier"}} {
 		for _, th := range []int{1, 2} {
-			v := vsBase(cf.name, cf.variant, th)
+			v := vsBase(cf.cells, cf.name, cf.variant, th)
 			lowT = append(lowT, item{fmt.Sprintf("%s/%dT", cf.variant, th), v, v < 1})
 		}
-		v := vsBase(cf.name, cf.variant, 8)
+		v := vsBase(cf.cells, cf.name, cf.variant, 8)
 		highT = append(highT, item{cf.variant + "/8T", v, v > 1})
 	}
 

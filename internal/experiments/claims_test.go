@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
+
+	"tsxhpc/internal/runner"
 )
 
 // TestJudgeOutcomes: a claim holds when every item does, deviates when a
@@ -49,6 +52,20 @@ func TestDeviationsCiteExperiments(t *testing.T) {
 			if !anchors[d.doc] {
 				t.Errorf("%s/%s cites %q, which is no EXPERIMENTS.md heading", id, name, d.doc)
 			}
+		}
+	}
+}
+
+// TestClaimsFailFirstKey: when cells fail, Claims reports the first failing
+// key of the first grid it reads, on every call, whichever cell's failure
+// the host happened to see first.
+func TestClaimsFailFirstKey(t *testing.T) {
+	s := NewSuite(4)
+	s.E.SetInject(func(k runner.Key) error { return fmt.Errorf("injected failure of %s", k) })
+	const want = "injected failure of stamp/bayes/sgl/1T"
+	for i := 0; i < 20; i++ {
+		if _, err := s.Claims(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: error %v, want %q", i, err, want)
 		}
 	}
 }

@@ -9,9 +9,13 @@
 // out across host worker goroutines and are memoized by key, so cells shared
 // between experiments (Figure 2 and Table 1 sweep the same STAMP grid;
 // Figure 4 and Figure 5 share baselines) simulate at most once per process.
-// Each experiment submits all of its cells first and then collects futures
-// in a fixed order, so rendered output is byte-for-byte identical at any
-// host parallelism level (see DESIGN.md §runner).
+// Each figure's cells form one cell set, a list of keys that collect submits
+// all at once and then waits on in key order, returning the figure's grid as
+// a map from key to result. The figure renders from that map and the
+// paper's claims (claims.go) judge the same maps, so a claim reads exactly
+// the numbers its figure prints. Rendered output is byte-for-byte identical
+// at any host parallelism level, and a failing grid always reports its first
+// failing key (see DESIGN.md §8).
 package experiments
 
 import (
@@ -23,7 +27,6 @@ import (
 	"tsxhpc/internal/harness"
 	"tsxhpc/internal/htm"
 	"tsxhpc/internal/netapps"
-	"tsxhpc/internal/probe"
 	"tsxhpc/internal/rmstm"
 	"tsxhpc/internal/runner"
 	"tsxhpc/internal/sim"
@@ -60,130 +63,210 @@ type simCell struct {
 // SimEvents reports the simulated event count (runner.Eventer).
 func (r simCell) SimEvents() uint64 { return r.Events }
 
-// Cell submitters. Keys fully determine the simulation, so equal keys from
-// different experiments share one run.
-
-func (s *Suite) stampCell(name string, mo tm.Mode, th int) runner.Future[stamp.Result] {
-	key := runner.Key(fmt.Sprintf("stamp/%s/%s/%dT", name, mo, th))
-	return runner.Submit(s.E, key, func() (stamp.Result, error) { return stamp.Execute(name, mo, th) })
+// collect submits cell(k) for every key, then waits on the futures in key
+// order and returns each key's result. Submitting everything first lets the
+// cells run in parallel; waiting in order makes a failure report the first
+// failing key's error, whichever cell failed first on the host. A key listed
+// twice is submitted twice, the second time as a memo hit: the figures list
+// a reference cell before a row that holds it too.
+func collect[K comparable, R any](keys []K, cell func(K) runner.Future[R]) (map[K]R, error) {
+	futs := make([]runner.Future[R], len(keys))
+	for i, k := range keys {
+		futs[i] = cell(k)
+	}
+	out := make(map[K]R, len(keys))
+	for i, f := range futs {
+		r, err := f.Wait()
+		if err != nil {
+			return nil, err
+		}
+		out[keys[i]] = r
+	}
+	return out, nil
 }
 
-func (s *Suite) rmstmCell(name string, sc rmstm.Scheme, th, nLocks int) runner.Future[rmstm.Result] {
-	key := runner.Key(fmt.Sprintf("rmstm/%s/%s/%dT/locks%d", name, sc, th, nLocks))
-	return runner.Submit(s.E, key, func() (rmstm.Result, error) { return rmstm.Execute(name, sc, th, nLocks) })
+// Cell keys and their submitters. A key fully determines its simulation, so
+// equal keys from different experiments share one run.
+
+type (
+	stampKey struct {
+		name    string
+		mode    tm.Mode
+		threads int
+	}
+	rmsKey struct {
+		name    string
+		scheme  rmstm.Scheme
+		threads int
+	}
+	appKey struct {
+		name, variant string
+		threads       int
+	}
+	netKey struct {
+		name string
+		mode core.LockMode
+	}
+	clompKey struct {
+		scatters int
+		scheme   clomp.Scheme
+		threads  int
+	}
+	scaleKey struct {
+		mod            netapps.ScaleModule
+		cores, clients int
+	}
+)
+
+func (s *Suite) stampCell(k stampKey) runner.Future[stamp.Result] {
+	key := runner.Key(fmt.Sprintf("stamp/%s/%s/%dT", k.name, k.mode, k.threads))
+	return runner.Submit(s.E, key, func() (stamp.Result, error) { return stamp.Execute(k.name, k.mode, k.threads) })
 }
 
-func (s *Suite) appsCell(name, variant string, th int) runner.Future[apps.Result] {
-	key := runner.Key(fmt.Sprintf("apps/%s/%s/%dT", name, variant, th))
-	return runner.Submit(s.E, key, func() (apps.Result, error) { return apps.Run(name, variant, th) })
+func (s *Suite) rmstmCell(k rmsKey) runner.Future[rmstm.Result] {
+	key := runner.Key(fmt.Sprintf("rmstm/%s/%s/%dT/locks%d", k.name, k.scheme, k.threads, rmstm.DefaultLocks))
+	return runner.Submit(s.E, key, func() (rmstm.Result, error) {
+		return rmstm.Execute(k.name, k.scheme, k.threads, rmstm.DefaultLocks)
+	})
 }
 
-func (s *Suite) netCell(name string, mode core.LockMode) runner.Future[netapps.Result] {
-	key := runner.Key(fmt.Sprintf("net/%s/%s", name, mode))
-	return runner.Submit(s.E, key, func() (netapps.Result, error) { return netapps.Run(name, mode) })
+func (s *Suite) appsCell(k appKey) runner.Future[apps.Result] {
+	key := runner.Key(fmt.Sprintf("apps/%s/%s/%dT", k.name, k.variant, k.threads))
+	return runner.Submit(s.E, key, func() (apps.Result, error) { return apps.Run(k.name, k.variant, k.threads) })
+}
+
+func (s *Suite) netCell(k netKey) runner.Future[netapps.Result] {
+	key := runner.Key(fmt.Sprintf("net/%s/%s", k.name, k.mode))
+	return runner.Submit(s.E, key, func() (netapps.Result, error) { return netapps.Run(k.name, k.mode) })
 }
 
 // clompCell runs one Figure 1 cell: the paper's CLOMP-TM configuration with
 // the given scatter count, Hyper-Threading disabled.
-func (s *Suite) clompCell(scatters int, scheme clomp.Scheme, threads int) runner.Future[clomp.Result] {
-	key := runner.Key(fmt.Sprintf("clomp/sc%d/%s/%dT", scatters, scheme, threads))
+func (s *Suite) clompCell(k clompKey) runner.Future[clomp.Result] {
+	key := runner.Key(fmt.Sprintf("clomp/sc%d/%s/%dT", k.scatters, k.scheme, k.threads))
 	return runner.Submit(s.E, key, func() (clomp.Result, error) {
 		cfg := clomp.DefaultConfig()
-		cfg.Scatters = scatters
+		cfg.Scatters = k.scatters
 		mcfg := sim.DefaultConfig()
 		mcfg.DisableHT = true
 		m := sim.New(mcfg)
-		return clomp.Run(m, clomp.NewMesh(m, cfg), scheme, threads), nil
+		return clomp.Run(m, clomp.NewMesh(m, cfg), k.scheme, k.threads), nil
 	})
+}
+
+// scaleCell runs one cell of the A6 scaling grid: one (module, cores,
+// clients) execution of the packet-streaming workload on its own machine.
+func (s *Suite) scaleCell(k scaleKey) runner.Future[netapps.ScaleResult] {
+	key := runner.Key(fmt.Sprintf("scale/%s/%dC/%d", k.mod.Name, k.cores, k.clients))
+	return runner.Submit(s.E, key, func() (netapps.ScaleResult, error) { return netapps.RunScale(k.cores, k.clients, k.mod) })
+}
+
+// threadTable renders a workload table with one row per name and one column
+// per series at every thread count, each cell formatted by cell.
+func threadTable[S any](title string, names []string, series []S, cell func(name string, sr S, th int) string) *harness.Table {
+	t := &harness.Table{Title: title, Head: []string{"workload"}}
+	for _, sr := range series {
+		for _, th := range Threads {
+			t.Head = append(t.Head, fmt.Sprintf("%v/%dT", sr, th))
+		}
+	}
+	for _, name := range names {
+		row := []string{name}
+		for _, sr := range series {
+			for _, th := range Threads {
+				row = append(row, cell(name, sr, th))
+			}
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t
 }
 
 // figure1Scatters are the scatter counts Figure 1 sweeps; Large TM crosses
 // Small Atomic between 3 and 4.
 var figure1Scatters = []int{1, 2, 3, 4, 6, 8, 12, 16}
 
+// figure1Cells collects Figure 1's grid: at each scatter count the serial
+// reference, then every scheme at 4 threads.
+func (s *Suite) figure1Cells() (map[clompKey]clomp.Result, error) {
+	var keys []clompKey
+	for _, sc := range figure1Scatters {
+		keys = append(keys, clompKey{sc, clomp.Serial, 1})
+		for _, sch := range clomp.Schemes {
+			keys = append(keys, clompKey{sc, sch, 4})
+		}
+	}
+	return collect(keys, s.clompCell)
+}
+
 // Figure1 reproduces the CLOMP-TM characterization: speedup over serial at
 // 4 threads (Hyper-Threading off) for the five synchronization schemes
 // across scatter counts.
 func (s *Suite) Figure1() (*harness.Figure, error) {
-	scatters := figure1Scatters
-	refs := make([]runner.Future[clomp.Result], len(scatters))
-	cells := make(map[clomp.Scheme][]runner.Future[clomp.Result])
-	for i, sc := range scatters {
-		refs[i] = s.clompCell(sc, clomp.Serial, 1)
-		for _, sch := range clomp.Schemes {
-			cells[sch] = append(cells[sch], s.clompCell(sc, sch, 4))
-		}
+	cells, err := s.figure1Cells()
+	if err != nil {
+		return nil, err
 	}
 	fig := &harness.Figure{
 		Title:  "Figure 1 — CLOMP-TM, 4 threads: speedup vs serial",
 		XLabel: "scatters/zone",
 	}
-	for _, sc := range scatters {
+	for _, sc := range figure1Scatters {
 		fig.XTicks = append(fig.XTicks, fmt.Sprint(sc))
 	}
 	for _, sch := range clomp.Schemes {
 		series := harness.Series{Name: sch.String()}
-		for i := range scatters {
-			ref, err := refs[i].Wait()
-			if err != nil {
-				return nil, err
-			}
-			r, err := cells[sch][i].Wait()
-			if err != nil {
-				return nil, err
-			}
-			series.Y = append(series.Y, float64(ref.Cycles)/float64(r.Cycles))
+		for _, sc := range figure1Scatters {
+			serial := cells[clompKey{sc, clomp.Serial, 1}].Cycles
+			series.Y = append(series.Y, float64(serial)/float64(cells[clompKey{sc, sch, 4}].Cycles))
 		}
 		fig.Series = append(fig.Series, series)
 	}
 	return fig, nil
 }
 
+// figure2Modes are the engines Figure 2 compares.
+var figure2Modes = []tm.Mode{tm.SGL, tm.TL2, tm.TSX}
+
+// stampCells collects the STAMP grid of modes at every thread count,
+// workload by workload. Figure 2 normalizes each row to sgl@1T, so when sgl
+// leads the modes each workload lists that reference cell first.
+func (s *Suite) stampCells(modes []tm.Mode) (map[stampKey]stamp.Result, error) {
+	var keys []stampKey
+	for _, name := range stamp.Names() {
+		if modes[0] == tm.SGL {
+			keys = append(keys, stampKey{name, tm.SGL, 1})
+		}
+		for _, mo := range modes {
+			for _, th := range Threads {
+				keys = append(keys, stampKey{name, mo, th})
+			}
+		}
+	}
+	return collect(keys, s.stampCell)
+}
+
 // Figure2 reproduces the STAMP execution times, normalized to sgl at one
 // thread (lower is better), for sgl / tl2 / tsx at 1–8 threads.
 func (s *Suite) Figure2() (*harness.Table, error) {
-	modes := []tm.Mode{tm.SGL, tm.TL2, tm.TSX}
-	t := &harness.Table{
-		Title: "Figure 2 — STAMP execution time normalized to sgl@1T (lower is better)",
-		Head:  []string{"workload"},
+	cells, err := s.stampCells(figure2Modes)
+	if err != nil {
+		return nil, err
 	}
-	for _, mo := range modes {
-		for _, th := range Threads {
-			t.Head = append(t.Head, fmt.Sprintf("%s/%dT", mo, th))
-		}
-	}
-	names := stamp.Names()
-	refs := make([]runner.Future[stamp.Result], len(names))
-	cells := make([][]runner.Future[stamp.Result], len(names))
-	for i, name := range names {
-		refs[i] = s.stampCell(name, tm.SGL, 1)
-		for _, mo := range modes {
-			for _, th := range Threads {
-				cells[i] = append(cells[i], s.stampCell(name, mo, th))
-			}
-		}
-	}
-	for i, name := range names {
-		ref, err := refs[i].Wait()
-		if err != nil {
-			return nil, err
-		}
-		row := []string{name}
-		for _, f := range cells[i] {
-			r, err := f.Wait()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.2f", float64(r.Cycles)/float64(ref.Cycles)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return threadTable("Figure 2 — STAMP execution time normalized to sgl@1T (lower is better)", stamp.Names(), figure2Modes,
+		func(name string, mo tm.Mode, th int) string {
+			ref := cells[stampKey{name, tm.SGL, 1}].Cycles
+			return fmt.Sprintf("%.2f", float64(cells[stampKey{name, mo, th}].Cycles)/float64(ref))
+		}), nil
 }
 
 // Table1 reproduces the STAMP transactional abort rates (%) for tl2 and tsx
 // at 1–8 threads.
 func (s *Suite) Table1() (*harness.Table, error) {
+	cells, err := s.stampCells([]tm.Mode{tm.TL2, tm.TSX})
+	if err != nil {
+		return nil, err
+	}
 	t := &harness.Table{
 		Title: "Table 1 — STAMP transactional abort rates (%)",
 		Head:  []string{"workload"},
@@ -191,173 +274,152 @@ func (s *Suite) Table1() (*harness.Table, error) {
 	for _, th := range Threads {
 		t.Head = append(t.Head, fmt.Sprintf("tl2/%dT", th), fmt.Sprintf("tsx/%dT", th))
 	}
-	names := stamp.Names()
-	cells := make([][]runner.Future[stamp.Result], len(names))
-	for i, name := range names {
-		for _, th := range Threads {
-			cells[i] = append(cells[i], s.stampCell(name, tm.TL2, th), s.stampCell(name, tm.TSX, th))
-		}
-	}
-	for i, name := range names {
+	for _, name := range stamp.Names() {
 		row := []string{name}
-		for _, f := range cells[i] {
-			r, err := f.Wait()
-			if err != nil {
-				return nil, err
+		for _, th := range Threads {
+			for _, mo := range []tm.Mode{tm.TL2, tm.TSX} {
+				row = append(row, fmt.Sprintf("%.0f", cells[stampKey{name, mo, th}].AbortRate))
 			}
-			row = append(row, fmt.Sprintf("%.0f", r.AbortRate))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }
 
+// figure3Cells collects Figure 3's grid: each workload's fgl@1T reference,
+// then every scheme at every thread count.
+func (s *Suite) figure3Cells() (map[rmsKey]rmstm.Result, error) {
+	var keys []rmsKey
+	for _, name := range rmstm.Names() {
+		keys = append(keys, rmsKey{name, rmstm.FGL, 1})
+		for _, sc := range rmstm.Schemes {
+			for _, th := range Threads {
+				keys = append(keys, rmsKey{name, sc, th})
+			}
+		}
+	}
+	return collect(keys, s.rmstmCell)
+}
+
 // Figure3 reproduces the RMS-TM speedups relative to fine-grained locking
 // at one thread, for fgl / sgl / tsx.
 func (s *Suite) Figure3() (*harness.Table, error) {
-	t := &harness.Table{
-		Title: "Figure 3 — RMS-TM speedup vs fgl@1T",
-		Head:  []string{"workload"},
+	cells, err := s.figure3Cells()
+	if err != nil {
+		return nil, err
 	}
-	for _, sc := range rmstm.Schemes {
-		for _, th := range Threads {
-			t.Head = append(t.Head, fmt.Sprintf("%s/%dT", sc, th))
-		}
-	}
-	names := rmstm.Names()
-	refs := make([]runner.Future[rmstm.Result], len(names))
-	cells := make([][]runner.Future[rmstm.Result], len(names))
-	for i, name := range names {
-		refs[i] = s.rmstmCell(name, rmstm.FGL, 1, rmstm.DefaultLocks)
-		for _, sc := range rmstm.Schemes {
+	return threadTable("Figure 3 — RMS-TM speedup vs fgl@1T", rmstm.Names(), rmstm.Schemes,
+		func(name string, sc rmstm.Scheme, th int) string {
+			return fmt.Sprintf("%.2f", harness.Speedup(cells[rmsKey{name, rmstm.FGL, 1}].Cycles, cells[rmsKey{name, sc, th}].Cycles))
+		}), nil
+}
+
+// appsCells collects the apps grid of variants at every thread count,
+// workload by workload, each workload's baseline@1T reference first: every
+// apps figure normalizes to it.
+func (s *Suite) appsCells(names, variants []string) (map[appKey]apps.Result, error) {
+	var keys []appKey
+	for _, name := range names {
+		keys = append(keys, appKey{name, "baseline", 1})
+		for _, v := range variants {
 			for _, th := range Threads {
-				cells[i] = append(cells[i], s.rmstmCell(name, sc, th, rmstm.DefaultLocks))
+				keys = append(keys, appKey{name, v, th})
 			}
 		}
 	}
-	for i, name := range names {
-		ref, err := refs[i].Wait()
-		if err != nil {
-			return nil, err
-		}
-		row := []string{name}
-		for _, f := range cells[i] {
-			r, err := f.Wait()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.2f", harness.Speedup(ref.Cycles, r.Cycles)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return collect(keys, s.appsCell)
 }
 
 // Figure4 reproduces the real-world workload speedups relative to the
 // baseline at one thread for baseline / tsx.init / tsx.coarsen, and reports
 // the tsx.coarsen-over-baseline mean at 8 threads (the paper's 1.41x).
 func (s *Suite) Figure4() (*harness.Table, float64, error) {
-	t := &harness.Table{
-		Title: "Figure 4 — real-world workloads: speedup vs baseline@1T",
-		Head:  []string{"workload"},
+	cells, err := s.appsCells(apps.Names(), apps.FigureVariants)
+	if err != nil {
+		return nil, 0, err
 	}
-	for _, v := range apps.FigureVariants {
-		for _, th := range Threads {
-			t.Head = append(t.Head, fmt.Sprintf("%s/%dT", v, th))
-		}
-	}
-	names := apps.Names()
-	refs := make([]runner.Future[apps.Result], len(names))
-	cells := make([][]runner.Future[apps.Result], len(names))
-	for i, name := range names {
-		refs[i] = s.appsCell(name, "baseline", 1)
-		for _, v := range apps.FigureVariants {
-			for _, th := range Threads {
-				cells[i] = append(cells[i], s.appsCell(name, v, th))
-			}
-		}
-	}
-	var gains []float64
-	for i, name := range names {
-		ref, err := refs[i].Wait()
-		if err != nil {
-			return nil, 0, err
-		}
-		row := []string{name}
-		var base8, coarsen8 uint64
-		k := 0
-		for _, v := range apps.FigureVariants {
-			for _, th := range Threads {
-				r, err := cells[i][k].Wait()
-				k++
-				if err != nil {
-					return nil, 0, err
-				}
-				row = append(row, fmt.Sprintf("%.2f", harness.Speedup(ref.Cycles, r.Cycles)))
-				if th == 8 {
-					switch v {
-					case "baseline":
-						base8 = r.Cycles
-					case "tsx.coarsen":
-						coarsen8 = r.Cycles
-					}
-				}
-			}
-		}
-		gains = append(gains, harness.Speedup(base8, coarsen8))
-		t.Rows = append(t.Rows, row)
-	}
-	return t, harness.Geomean(gains), nil
+	t := threadTable("Figure 4 — real-world workloads: speedup vs baseline@1T", apps.Names(), apps.FigureVariants,
+		func(name, v string, th int) string {
+			return fmt.Sprintf("%.2f", harness.Speedup(cells[appKey{name, "baseline", 1}].Cycles, cells[appKey{name, v, th}].Cycles))
+		})
+	return t, coarsenGeomean8T(cells), nil
 }
+
+// coarsenGeomean8T is Figure 4's headline: tsx.coarsen's speedup over the
+// baseline at 8 threads, geomean over the workloads.
+func coarsenGeomean8T(cells map[appKey]apps.Result) float64 {
+	var gains []float64
+	for _, name := range apps.Names() {
+		gains = append(gains, harness.Speedup(cells[appKey{name, "baseline", 8}].Cycles, cells[appKey{name, "tsx.coarsen", 8}].Cycles))
+	}
+	return harness.Geomean(gains)
+}
+
+// The Figure 5 series: each workload's baseline, its conflict-free rewrite
+// and three transactional granularities.
+var (
+	figure5aVariants = []string{"baseline", "privatize", "tsx.gran1", "tsx.gran8", "tsx.gran32"}
+	figure5bVariants = []string{"baseline", "barrier", "tsx.gran1", "tsx.gran2", "tsx.gran3"}
+)
 
 // Figure5a reproduces the histogram comparison: atomic vs privatize vs
 // transactional granularities, execution time normalized to atomic@1T.
 func (s *Suite) Figure5a() (*harness.Figure, error) {
-	variants := []string{"baseline", "privatize", "tsx.gran1", "tsx.gran8", "tsx.gran32"}
-	return s.figure5("histogram", "Figure 5a — histogram: time normalized to atomic@1T", variants)
+	return s.figure5("histogram", "Figure 5a — histogram: time normalized to atomic@1T", figure5aVariants)
 }
 
 // Figure5b reproduces the physicsSolver comparison: mutex vs barrier vs
 // transactional granularities.
 func (s *Suite) Figure5b() (*harness.Figure, error) {
-	variants := []string{"baseline", "barrier", "tsx.gran1", "tsx.gran2", "tsx.gran3"}
-	return s.figure5("physicsSolver", "Figure 5b — physicsSolver: time normalized to mutex@1T", variants)
+	return s.figure5("physicsSolver", "Figure 5b — physicsSolver: time normalized to mutex@1T", figure5bVariants)
 }
 
 func (s *Suite) figure5(workload, title string, variants []string) (*harness.Figure, error) {
-	refFut := s.appsCell(workload, "baseline", 1)
-	cells := make(map[string][]runner.Future[apps.Result])
-	for _, v := range variants {
-		for _, th := range Threads {
-			cells[v] = append(cells[v], s.appsCell(workload, v, th))
-		}
-	}
-	ref, err := refFut.Wait()
+	cells, err := s.appsCells([]string{workload}, variants)
 	if err != nil {
 		return nil, err
 	}
+	ref := cells[appKey{workload, "baseline", 1}].Cycles
 	fig := &harness.Figure{Title: title, XLabel: "threads"}
 	for _, th := range Threads {
 		fig.XTicks = append(fig.XTicks, fmt.Sprint(th))
 	}
 	for _, v := range variants {
 		series := harness.Series{Name: v}
-		for _, f := range cells[v] {
-			r, err := f.Wait()
-			if err != nil {
-				return nil, err
-			}
-			series.Y = append(series.Y, float64(r.Cycles)/float64(ref.Cycles))
+		for _, th := range Threads {
+			series.Y = append(series.Y, float64(cells[appKey{workload, v, th}].Cycles)/float64(ref))
 		}
 		fig.Series = append(fig.Series, series)
 	}
 	return fig, nil
 }
 
+// figure6Cells collects Figure 6's grid: every workload under every locking
+// module.
+func (s *Suite) figure6Cells() (map[netKey]netapps.Result, error) {
+	var keys []netKey
+	for _, name := range netapps.Names() {
+		for _, mo := range netapps.Modes {
+			keys = append(keys, netKey{name, mo})
+		}
+	}
+	return collect(keys, s.netCell)
+}
+
+// vsMutex is a module's Figure 6 read bandwidth over the mutex stack's on
+// the same workload.
+func vsMutex(cells map[netKey]netapps.Result, name string, mo core.LockMode) float64 {
+	return cells[netKey{name, mo}].Bandwidth() / cells[netKey{name, core.ModeMutex}].Bandwidth()
+}
+
 // Figure6 reproduces the user-level TCP/IP stack study: server-side read
 // bandwidth normalized to the mutex stack for the five locking-module
 // implementations, plus the tsx.busywait average gain (the paper's 1.31x).
 func (s *Suite) Figure6() (*harness.Table, float64, error) {
+	cells, err := s.figure6Cells()
+	if err != nil {
+		return nil, 0, err
+	}
 	t := &harness.Table{
 		Title: "Figure 6 — TCP/IP stack: read bandwidth normalized to mutex",
 		Head:  []string{"workload"},
@@ -365,35 +427,20 @@ func (s *Suite) Figure6() (*harness.Table, float64, error) {
 	for _, mo := range netapps.Modes {
 		t.Head = append(t.Head, mo.String())
 	}
-	names := netapps.Names()
-	cells := make([][]runner.Future[netapps.Result], len(names))
-	for i, name := range names {
-		for _, mo := range netapps.Modes {
-			cells[i] = append(cells[i], s.netCell(name, mo))
-		}
-	}
 	var gains []float64
-	for i, name := range names {
-		ref, err := cells[i][0].Wait() // Modes[0] is the mutex reference
-		if err != nil {
-			return nil, 0, err
-		}
+	for _, name := range netapps.Names() {
 		row := []string{name}
-		for k, mo := range netapps.Modes {
-			r, err := cells[i][k].Wait()
-			if err != nil {
-				return nil, 0, err
-			}
-			norm := r.Bandwidth() / ref.Bandwidth()
-			row = append(row, fmt.Sprintf("%.2f", norm))
-			if mo.String() == "tsx.busywait" {
-				gains = append(gains, norm)
-			}
+		for _, mo := range netapps.Modes {
+			row = append(row, fmt.Sprintf("%.2f", vsMutex(cells, name, mo)))
 		}
+		gains = append(gains, vsMutex(cells, name, core.ModeTSXBusyWait))
 		t.Rows = append(t.Rows, row)
 	}
 	return t, harness.Mean(gains), nil
 }
+
+// RetryBudgets are the retry budgets E9 sweeps.
+var RetryBudgets = []int{1, 2, 3, 4, 5, 6, 8, 10}
 
 // RetrySweep reproduces the Section 3 policy study: the paper retried a
 // failed transactional execution up to 5 times before explicitly acquiring
@@ -401,25 +448,19 @@ func (s *Suite) Figure6() (*harness.Table, float64, error) {
 // performance"). The sweep measures a contended mixed workload across
 // retry budgets.
 func (s *Suite) RetrySweep(budgets []int) (*harness.Figure, error) {
-	futs := make([]runner.Future[simCell], len(budgets))
-	for i, budget := range budgets {
-		futs[i] = s.retryCell(budget)
+	cells, err := collect(budgets, s.retryCell)
+	if err != nil {
+		return nil, err
 	}
 	fig := &harness.Figure{
 		Title:   "Retry policy — contended-workload cycles vs max retries (Section 3)",
 		XLabel:  "max retries",
 		YFormat: "%.0f",
 	}
+	series := harness.Series{Name: "kilocycles"}
 	for _, b := range budgets {
 		fig.XTicks = append(fig.XTicks, fmt.Sprint(b))
-	}
-	series := harness.Series{Name: "kilocycles"}
-	for i := range budgets {
-		r, err := futs[i].Wait()
-		if err != nil {
-			return nil, err
-		}
-		series.Y = append(series.Y, float64(r.Cycles)/1000)
+		series.Y = append(series.Y, float64(cells[b].Cycles)/1000)
 	}
 	fig.Series = append(fig.Series, series)
 	return fig, nil
@@ -457,12 +498,8 @@ func (s *Suite) retryCell(budget int) runner.Future[simCell] {
 // threads on 4 cores versus 8 threads on 4 cores, and with HT the effective
 // per-thread L1 capacity halves and abort rates jump.
 func (s *Suite) HTCapacityAblation() (*harness.Table, error) {
-	threadCounts := []int{1, 2, 4, 8}
-	futs := make([]runner.Future[simCell], len(threadCounts))
-	for i, th := range threadCounts {
-		th := th
-		key := runner.Key(fmt.Sprintf("htcap/%dT", th))
-		futs[i] = runner.Submit(s.E, key, func() (simCell, error) {
+	cells, err := collect(Threads, func(th int) runner.Future[simCell] {
+		return runner.Submit(s.E, runner.Key(fmt.Sprintf("htcap/%dT", th)), func() (simCell, error) {
 			m := sim.New(sim.DefaultConfig())
 			sys := tm.NewSystem(m, tm.TSX)
 			region := m.Mem.AllocLine(64 * 1024) // 64 KB shared region
@@ -481,17 +518,16 @@ func (s *Suite) HTCapacityAblation() (*harness.Table, error) {
 			})
 			return simCell{Cycles: res.Cycles, Value: sys.AbortRate(), Events: res.Events}, nil
 		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	t := &harness.Table{
 		Title: "HT capacity ablation — abort rate of a 36-line transaction mix",
 		Head:  []string{"threads", "abort %"},
 	}
-	for i, th := range threadCounts {
-		r, err := futs[i].Wait()
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{fmt.Sprint(th), fmt.Sprintf("%.0f", r.Value)})
+	for _, th := range Threads {
+		t.Rows = append(t.Rows, []string{fmt.Sprint(th), fmt.Sprintf("%.0f", cells[th].Value)})
 	}
 	return t, nil
 }
@@ -501,20 +537,19 @@ func (s *Suite) HTCapacityAblation() (*harness.Table, error) {
 // suite's conflict-probability knob).
 func (s *Suite) ConflictWiringAblation() (*harness.Figure, error) {
 	pcts := []int{0, 10, 25, 50, 80}
-	futs := make([]runner.Future[clomp.Result], len(pcts))
-	for i, pct := range pcts {
-		pct := pct
-		key := runner.Key(fmt.Sprintf("clomp/cross%d", pct))
-		futs[i] = runner.Submit(s.E, key, func() (clomp.Result, error) {
+	cells, err := collect(pcts, func(pct int) runner.Future[clomp.Result] {
+		return runner.Submit(s.E, runner.Key(fmt.Sprintf("clomp/cross%d", pct)), func() (clomp.Result, error) {
 			cfg := clomp.DefaultConfig()
 			cfg.CrossPartitionPct = pct
 			cfg.Scatters = 6
 			mcfg := sim.DefaultConfig()
 			mcfg.DisableHT = true
 			m := sim.New(mcfg)
-			mesh := clomp.NewMesh(m, cfg)
-			return clomp.Run(m, mesh, clomp.LargeTM, 4), nil
+			return clomp.Run(m, clomp.NewMesh(m, cfg), clomp.LargeTM, 4), nil
 		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	fig := &harness.Figure{
 		Title:   "CLOMP-TM conflict knob — Large TM abort rate vs cross-partition wiring",
@@ -522,13 +557,9 @@ func (s *Suite) ConflictWiringAblation() (*harness.Figure, error) {
 		YFormat: "%.1f",
 	}
 	series := harness.Series{Name: "abort %"}
-	for i, pct := range pcts {
-		r, err := futs[i].Wait()
-		if err != nil {
-			return nil, err
-		}
+	for _, pct := range pcts {
 		fig.XTicks = append(fig.XTicks, fmt.Sprint(pct))
-		series.Y = append(series.Y, r.AbortRate)
+		series.Y = append(series.Y, cells[pct].AbortRate)
 	}
 	fig.Series = append(fig.Series, series)
 	return fig, nil
@@ -540,17 +571,22 @@ func (s *Suite) ConflictWiringAblation() (*harness.Figure, error) {
 // and 8 threads. The adaptive runtime should track the best static choice
 // at both ends of the Figure 5 inflection without tuning.
 func (s *Suite) AdaptiveCoarseningAblation() (*harness.Table, error) {
-	kernel := func(threads int, adaptive bool, gran int) runner.Future[simCell] {
-		key := runner.Key(fmt.Sprintf("adaptive/%dT/adaptive=%t/gran%d", threads, adaptive, gran))
+	type kernelKey struct {
+		threads  int
+		adaptive bool
+		gran     int
+	}
+	kernel := func(k kernelKey) runner.Future[simCell] {
+		key := runner.Key(fmt.Sprintf("adaptive/%dT/adaptive=%t/gran%d", k.threads, k.adaptive, k.gran))
 		return runner.Submit(s.E, key, func() (simCell, error) {
 			m := sim.New(sim.DefaultConfig())
 			sys := tm.NewSystem(m, tm.TSX)
 			const items, bins = 12000, 65536
 			table := m.Mem.AllocLine(8 * bins)
-			res := m.Run(threads, func(c *sim.Context) {
+			res := m.Run(k.threads, func(c *sim.Context) {
 				rng := c.Rand
-				mine := make([]int, 0, items/threads+1)
-				for i := c.ID(); i < items; i += threads {
+				mine := make([]int, 0, items/k.threads+1)
+				for i := c.ID(); i < items; i += k.threads {
 					mine = append(mine, rng.Intn(bins))
 				}
 				item := func(tx tm.Tx, i int) {
@@ -558,23 +594,24 @@ func (s *Suite) AdaptiveCoarseningAblation() (*harness.Table, error) {
 					a := table + sim.Addr(mine[i]*8)
 					tx.Store(a, tx.Load(a)+1)
 				}
-				if adaptive {
+				if k.adaptive {
 					core.NewAdaptiveCoarsener(sys).Do(c, len(mine), item)
 				} else {
-					core.DoCoarsened(sys, c, len(mine), gran, item)
+					core.DoCoarsened(sys, c, len(mine), k.gran, item)
 				}
 			})
 			return simCell{Cycles: res.Cycles, Events: res.Events}, nil
 		})
 	}
+	// Each thread count's row: the static granularities, then adaptive.
 	threadCounts := []int{1, 8}
-	grans := []int{1, 8, 32}
-	futs := make([][]runner.Future[simCell], len(threadCounts))
-	for i, th := range threadCounts {
-		for _, g := range grans {
-			futs[i] = append(futs[i], kernel(th, false, g))
-		}
-		futs[i] = append(futs[i], kernel(th, true, 0))
+	var keys []kernelKey
+	for _, th := range threadCounts {
+		keys = append(keys, kernelKey{th, false, 1}, kernelKey{th, false, 8}, kernelKey{th, false, 32}, kernelKey{th, true, 0})
+	}
+	cells, err := collect(keys, kernel)
+	if err != nil {
+		return nil, err
 	}
 	t := &harness.Table{
 		Title: "Adaptive coarsening (§5.4.3 future work) — kilocycles",
@@ -582,12 +619,8 @@ func (s *Suite) AdaptiveCoarseningAblation() (*harness.Table, error) {
 	}
 	for i, th := range threadCounts {
 		row := []string{fmt.Sprint(th)}
-		for _, f := range futs[i] {
-			r, err := f.Wait()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%d", r.Cycles/1000))
+		for _, k := range keys[4*i : 4*i+4] {
+			row = append(row, fmt.Sprintf("%d", cells[k].Cycles/1000))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -599,51 +632,52 @@ func (s *Suite) AdaptiveCoarseningAblation() (*harness.Table, error) {
 // begin, on uncontended data (Section 5.2.1's overhead argument).
 func (s *Suite) LocksetAblation() (*harness.Table, error) {
 	const ops = 2000
-	pair := runner.Submit(s.E, "lockset/pair", func() (simCell, error) {
-		m := sim.New(sim.DefaultConfig())
-		l1, l2 := ssync.NewMutex(m.Mem), ssync.NewMutex(m.Mem)
-		data := m.Mem.AllocLine(16)
-		res := m.Run(1, func(c *sim.Context) {
-			for i := 0; i < ops; i++ {
-				l1.Lock(c)
-				l2.Lock(c)
-				c.Store(data, c.Load(data)+1)
-				c.Store(data+8, c.Load(data+8)+1)
-				l2.Unlock(c)
-				l1.Unlock(c)
-			}
-		})
-		return simCell{Cycles: res.Cycles, Events: res.Events}, nil
+	runs := map[string]func() (simCell, error){
+		"pair": func() (simCell, error) {
+			m := sim.New(sim.DefaultConfig())
+			l1, l2 := ssync.NewMutex(m.Mem), ssync.NewMutex(m.Mem)
+			data := m.Mem.AllocLine(16)
+			res := m.Run(1, func(c *sim.Context) {
+				for i := 0; i < ops; i++ {
+					l1.Lock(c)
+					l2.Lock(c)
+					c.Store(data, c.Load(data)+1)
+					c.Store(data+8, c.Load(data+8)+1)
+					l2.Unlock(c)
+					l1.Unlock(c)
+				}
+			})
+			return simCell{Cycles: res.Cycles, Events: res.Events}, nil
+		},
+		"elision": func() (simCell, error) {
+			m := sim.New(sim.DefaultConfig())
+			sys := tm.NewSystem(m, tm.TSX)
+			data := m.Mem.AllocLine(16)
+			res := m.Run(1, func(c *sim.Context) {
+				for i := 0; i < ops; i++ {
+					sys.Atomic(c, func(tx tm.Tx) {
+						tx.Store(data, tx.Load(data)+1)
+						tx.Store(data+8, tx.Load(data+8)+1)
+					})
+				}
+			})
+			return simCell{Cycles: res.Cycles, Events: res.Events}, nil
+		},
+	}
+	cells, err := collect([]string{"pair", "elision"}, func(name string) runner.Future[simCell] {
+		return runner.Submit(s.E, runner.Key("lockset/"+name), runs[name])
 	})
-	elide := runner.Submit(s.E, "lockset/elision", func() (simCell, error) {
-		m := sim.New(sim.DefaultConfig())
-		sys := tm.NewSystem(m, tm.TSX)
-		data := m.Mem.AllocLine(16)
-		res := m.Run(1, func(c *sim.Context) {
-			for i := 0; i < ops; i++ {
-				sys.Atomic(c, func(tx tm.Tx) {
-					tx.Store(data, tx.Load(data)+1)
-					tx.Store(data+8, tx.Load(data+8)+1)
-				})
-			}
-		})
-		return simCell{Cycles: res.Cycles, Events: res.Events}, nil
-	})
-	t := &harness.Table{
+	if err != nil {
+		return nil, err
+	}
+	return &harness.Table{
 		Title: "Lockset elision ablation — cycles per pair-locked critical section",
 		Head:  []string{"scheme", "cycles/op"},
-	}
-	pr, err := pair.Wait()
-	if err != nil {
-		return nil, err
-	}
-	er, err := elide.Wait()
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, []string{"two locks", fmt.Sprintf("%.0f", float64(pr.Cycles)/ops)})
-	t.Rows = append(t.Rows, []string{"lockset elision", fmt.Sprintf("%.0f", float64(er.Cycles)/ops)})
-	return t, nil
+		Rows: [][]string{
+			{"two locks", fmt.Sprintf("%.0f", float64(cells["pair"].Cycles)/ops)},
+			{"lockset elision", fmt.Sprintf("%.0f", float64(cells["elision"].Cycles)/ops)},
+		},
+	}, nil
 }
 
 // The A6 scaling grid: the core sweep holds the session count at
@@ -663,13 +697,19 @@ const (
 	scaleFixedCores   = 16
 )
 
-// scaleCell submits one cell of the A6 scaling grid: one (module, cores,
-// clients) execution of the packet-streaming workload on its own machine.
-func (s *Suite) scaleCell(mod netapps.ScaleModule, cores, clients int) runner.Future[netapps.ScaleResult] {
-	key := runner.Key(fmt.Sprintf("scale/%s/%dC/%d", mod.Name, cores, clients))
-	return runner.Submit(s.E, key, func() (netapps.ScaleResult, error) {
-		return netapps.RunScale(cores, clients, mod)
-	})
+// scaleCells collects the A6 grid: each module's core axis, then its client
+// axis (the cell at scaleFixedCores and scaleFixedClients is on both).
+func (s *Suite) scaleCells() (map[scaleKey]netapps.ScaleResult, error) {
+	var keys []scaleKey
+	for _, mod := range netapps.ScaleModules {
+		for _, cores := range scaleCoreAxis {
+			keys = append(keys, scaleKey{mod, cores, scaleFixedClients})
+		}
+		for _, clients := range scaleClientAxis {
+			keys = append(keys, scaleKey{mod, scaleFixedCores, clients})
+		}
+	}
+	return collect(keys, s.scaleCell)
 }
 
 // ScalingCurve renders the scale-out study (A6): server-side read bandwidth
@@ -680,15 +720,9 @@ func (s *Suite) scaleCell(mod netapps.ScaleModule, cores, clients int) runner.Fu
 // and TSX-elision stacks keep scaling — the Section 6 argument extended past
 // the paper's 8-thread machine.
 func (s *Suite) ScalingCurve() (*harness.Table, *harness.Table, error) {
-	coreFuts := make([][]runner.Future[netapps.ScaleResult], len(netapps.ScaleModules))
-	clientFuts := make([][]runner.Future[netapps.ScaleResult], len(netapps.ScaleModules))
-	for i, mod := range netapps.ScaleModules {
-		for _, cores := range scaleCoreAxis {
-			coreFuts[i] = append(coreFuts[i], s.scaleCell(mod, cores, scaleFixedClients))
-		}
-		for _, clients := range scaleClientAxis {
-			clientFuts[i] = append(clientFuts[i], s.scaleCell(mod, scaleFixedCores, clients))
-		}
+	cells, err := s.scaleCells()
+	if err != nil {
+		return nil, nil, err
 	}
 	coresT := &harness.Table{
 		Title: fmt.Sprintf("Scaling curve — read bandwidth (bytes/kcycle) vs cores @%d clients", scaleFixedClients),
@@ -697,17 +731,6 @@ func (s *Suite) ScalingCurve() (*harness.Table, *harness.Table, error) {
 	for _, cores := range scaleCoreAxis {
 		coresT.Head = append(coresT.Head, fmt.Sprintf("%dC", cores))
 	}
-	for i, mod := range netapps.ScaleModules {
-		row := []string{mod.Name}
-		for _, f := range coreFuts[i] {
-			r, err := f.Wait()
-			if err != nil {
-				return nil, nil, err
-			}
-			row = append(row, fmt.Sprintf("%.1f", r.Bandwidth()))
-		}
-		coresT.Rows = append(coresT.Rows, row)
-	}
 	clientsT := &harness.Table{
 		Title: fmt.Sprintf("Scaling curve — read bandwidth (bytes/kcycle) vs clients @%d cores", scaleFixedCores),
 		Head:  []string{"module"},
@@ -715,16 +738,17 @@ func (s *Suite) ScalingCurve() (*harness.Table, *harness.Table, error) {
 	for _, clients := range scaleClientAxis {
 		clientsT.Head = append(clientsT.Head, fmt.Sprint(clients))
 	}
-	for i, mod := range netapps.ScaleModules {
-		row := []string{mod.Name}
-		for _, f := range clientFuts[i] {
-			r, err := f.Wait()
-			if err != nil {
-				return nil, nil, err
-			}
-			row = append(row, fmt.Sprintf("%.1f", r.Bandwidth()))
+	bw := func(k scaleKey) string { return fmt.Sprintf("%.1f", cells[k].Bandwidth()) }
+	for _, mod := range netapps.ScaleModules {
+		coreRow, clientRow := []string{mod.Name}, []string{mod.Name}
+		for _, cores := range scaleCoreAxis {
+			coreRow = append(coreRow, bw(scaleKey{mod, cores, scaleFixedClients}))
 		}
-		clientsT.Rows = append(clientsT.Rows, row)
+		for _, clients := range scaleClientAxis {
+			clientRow = append(clientRow, bw(scaleKey{mod, scaleFixedCores, clients}))
+		}
+		coresT.Rows = append(coresT.Rows, coreRow)
+		clientsT.Rows = append(clientsT.Rows, clientRow)
 	}
 	return coresT, clientsT, nil
 }
@@ -745,6 +769,10 @@ type modelAnatomyCell struct {
 // SimEvents reports the simulated event count (runner.Eventer).
 func (r modelAnatomyCell) SimEvents() uint64 { return r.Events }
 
+// modelKey is one A7 cell: an HTM model on a machine with an allocator
+// layout.
+type modelKey struct{ model, layout string }
+
 // modelCell submits one A7 cell: the capacity/conflict kernel on a machine
 // built with the given HTM model and allocator-placement layout.
 //
@@ -759,12 +787,12 @@ func (r modelAnatomyCell) SimEvents() uint64 { return r.Events }
 // model's fixed 16-entry write set doesn't notice the cache at all — its
 // aborts depend only on the 24-line footprint. The hot line supplies the
 // conflicts that separate requester-wins from requester-loses.
-func (s *Suite) modelCell(model, layout string) runner.Future[modelAnatomyCell] {
-	key := runner.Key(fmt.Sprintf("modelanatomy/%s/%s", model, layout))
+func (s *Suite) modelCell(k modelKey) runner.Future[modelAnatomyCell] {
+	key := runner.Key(fmt.Sprintf("modelanatomy/%s/%s", k.model, k.layout))
 	return runner.Submit(s.E, key, func() (modelAnatomyCell, error) {
 		cfg := sim.DefaultConfig()
-		cfg.HTMModel = model
-		cfg.Layout = layout
+		cfg.HTMModel = k.model
+		cfg.Layout = k.layout
 		m := sim.New(cfg)
 		sys := tm.NewSystem(m, tm.TSX)
 		const (
@@ -816,36 +844,31 @@ func (s *Suite) modelCell(model, layout string) runner.Future[modelAnatomyCell] 
 // placement alone moving capacity aborts for the cache-tracked designs while
 // leaving the strict model untouched.
 func (s *Suite) ModelAnatomy() (*harness.Table, error) {
-	models := htm.ModelNames()
-	layouts := sim.LayoutNames()
-	futs := make([]runner.Future[modelAnatomyCell], 0, len(models)*len(layouts))
-	for _, mo := range models {
-		for _, la := range layouts {
-			futs = append(futs, s.modelCell(mo, la))
+	var keys []modelKey
+	for _, mo := range htm.ModelNames() {
+		for _, la := range sim.LayoutNames() {
+			keys = append(keys, modelKey{mo, la})
 		}
+	}
+	cells, err := collect(keys, s.modelCell)
+	if err != nil {
+		return nil, err
 	}
 	t := &harness.Table{
 		Title: "Model anatomy — abort causes by HTM model x allocator layout @8T",
 		Head:  []string{"model", "layout", "commits", "conflict", "capacity", "lock-busy", "spurious", "fallbacks"},
 	}
-	i := 0
-	for _, mo := range models {
-		for _, la := range layouts {
-			r, err := futs[i].Wait()
-			if err != nil {
-				return nil, err
-			}
-			i++
-			t.Rows = append(t.Rows, []string{
-				mo, la,
-				fmt.Sprintf("%d", r.Commits),
-				fmt.Sprintf("%d", r.Aborts[htm.Conflict]),
-				fmt.Sprintf("%d", r.Aborts[htm.Capacity]),
-				fmt.Sprintf("%d", r.Aborts[htm.LockBusy]),
-				fmt.Sprintf("%d", r.Aborts[htm.Spurious]),
-				fmt.Sprintf("%d", r.Fallbacks),
-			})
-		}
+	for _, k := range keys {
+		r := cells[k]
+		t.Rows = append(t.Rows, []string{
+			k.model, k.layout,
+			fmt.Sprintf("%d", r.Commits),
+			fmt.Sprintf("%d", r.Aborts[htm.Conflict]),
+			fmt.Sprintf("%d", r.Aborts[htm.Capacity]),
+			fmt.Sprintf("%d", r.Aborts[htm.LockBusy]),
+			fmt.Sprintf("%d", r.Aborts[htm.Spurious]),
+			fmt.Sprintf("%d", r.Fallbacks),
+		})
 	}
 	return t, nil
 }
@@ -859,10 +882,10 @@ var anatomyWorkloads = []string{"intruder", "kmeans", "vacation"}
 // the cell regardless of the process-wide -metrics flag, and the snapshot
 // rides inside the memoized (and persistently cached) result, so the report
 // is byte-identical at any host parallelism and on warm-cache runs.
-func (s *Suite) anatomyCell(name string, mo tm.Mode, th int) runner.Future[stamp.ProbedResult] {
-	key := runner.Key(fmt.Sprintf("anatomy/%s/%s/%dT", name, mo, th))
+func (s *Suite) anatomyCell(k stampKey) runner.Future[stamp.ProbedResult] {
+	key := runner.Key(fmt.Sprintf("anatomy/%s/%s/%dT", k.name, k.mode, k.threads))
 	return runner.Submit(s.E, key, func() (stamp.ProbedResult, error) {
-		return stamp.ExecuteProbed(name, mo, th)
+		return stamp.ExecuteProbed(k.name, k.mode, k.threads)
 	})
 }
 
@@ -875,21 +898,15 @@ func (s *Suite) anatomyCell(name string, mo tm.Mode, th int) runner.Future[stamp
 func (s *Suite) AbortAnatomy() (string, error) {
 	const th = 8
 	modes := []tm.Mode{tm.TSX, tm.TL2}
-	futs := make(map[string]runner.Future[stamp.ProbedResult])
+	var keys []stampKey
 	for _, wl := range anatomyWorkloads {
 		for _, mo := range modes {
-			futs[wl+"/"+mo.String()] = s.anatomyCell(wl, mo, th)
+			keys = append(keys, stampKey{wl, mo, th})
 		}
 	}
-	snaps := make(map[string]probe.Snapshot)
-	for _, wl := range anatomyWorkloads {
-		for _, mo := range modes {
-			r, err := futs[wl+"/"+mo.String()].Wait()
-			if err != nil {
-				return "", err
-			}
-			snaps[wl+"/"+mo.String()] = r.Probes
-		}
+	cells, err := collect(keys, s.anatomyCell)
+	if err != nil {
+		return "", err
 	}
 
 	tsxT := &harness.Table{
@@ -898,7 +915,7 @@ func (s *Suite) AbortAnatomy() (string, error) {
 			"syscall", "explicit", "spurious", "fallbacks", "tries/region"},
 	}
 	for _, wl := range anatomyWorkloads {
-		sn := snaps[wl+"/tsx"]
+		sn := cells[stampKey{wl, tm.TSX, th}].Probes
 		row := []string{wl}
 		for _, cause := range []string{"conflict", "capacity", "lock-busy", "syscall", "explicit", "spurious"} {
 			row = append(row, fmt.Sprintf("%d", sn.Counter("htm/abort/"+cause)))
@@ -915,7 +932,7 @@ func (s *Suite) AbortAnatomy() (string, error) {
 			"commit-validate", "gv advances", "gv lag (mean)"},
 	}
 	for _, wl := range anatomyWorkloads {
-		sn := snaps[wl+"/tl2"]
+		sn := cells[stampKey{wl, tm.TL2, th}].Probes
 		lag, _ := sn.Hist("tl2/gv/lag")
 		tl2T.Rows = append(tl2T.Rows, []string{
 			wl,
@@ -934,23 +951,21 @@ func (s *Suite) AbortAnatomy() (string, error) {
 	for p := 0; p < sim.NumPhases; p++ {
 		vtT.Head = append(vtT.Head, sim.Phase(p).String())
 	}
-	for _, wl := range anatomyWorkloads {
-		for _, mo := range modes {
-			sn := snaps[wl+"/"+mo.String()]
-			var total uint64
-			for p := 0; p < sim.NumPhases; p++ {
-				total += sn.Counter(fmt.Sprintf("vt/%s/%s", mo, sim.Phase(p)))
-			}
-			row := []string{wl + "/" + mo.String()}
-			for p := 0; p < sim.NumPhases; p++ {
-				pct := 0.0
-				if total > 0 {
-					pct = 100 * float64(sn.Counter(fmt.Sprintf("vt/%s/%s", mo, sim.Phase(p)))) / float64(total)
-				}
-				row = append(row, fmt.Sprintf("%.1f", pct))
-			}
-			vtT.Rows = append(vtT.Rows, row)
+	for _, k := range keys {
+		sn := cells[k].Probes
+		var total uint64
+		for p := 0; p < sim.NumPhases; p++ {
+			total += sn.Counter(fmt.Sprintf("vt/%s/%s", k.mode, sim.Phase(p)))
 		}
+		row := []string{k.name + "/" + k.mode.String()}
+		for p := 0; p < sim.NumPhases; p++ {
+			pct := 0.0
+			if total > 0 {
+				pct = 100 * float64(sn.Counter(fmt.Sprintf("vt/%s/%s", k.mode, sim.Phase(p)))) / float64(total)
+			}
+			row = append(row, fmt.Sprintf("%.1f", pct))
+		}
+		vtT.Rows = append(vtT.Rows, row)
 	}
 	return tsxT.Render() + tl2T.Render() + vtT.Render(), nil
 }

@@ -60,6 +60,9 @@ type Options struct {
 	Parallel int
 	// Cache is the persistent result-cache directory; "" or "off" disables.
 	Cache string
+	// CacheSet records whether -cache was present (its default is a
+	// directory, so the value alone cannot tell).
+	CacheSet bool
 	// ChaosSeed enables deterministic fault injection when ChaosSet.
 	ChaosSeed int64
 	// ChaosSet records whether -chaos was present (seed 0 is valid).
@@ -153,12 +156,16 @@ func ValidateLayout(name string) error {
 	return err
 }
 
-// Finish records flag presence (-chaos, where seed 0 is valid) and
-// resolves flag implications (-metricsout implies -metrics).
+// Finish records flag presence (-chaos, where seed 0 is valid, and -cache,
+// whose default is a directory) and resolves flag implications (-metricsout
+// implies -metrics).
 func (o *Options) Finish(fs *flag.FlagSet) {
 	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "chaos" {
+		switch f.Name {
+		case "chaos":
 			o.ChaosSet = true
+		case "cache":
+			o.CacheSet = true
 		}
 	})
 	if o.MetricsOut != "" {

@@ -40,8 +40,8 @@ func TestFlagParsing(t *testing.T) {
 			name: "defaults",
 			args: nil,
 			check: func(t *testing.T, o *Options) {
-				if o.ChaosSet {
-					t.Error("ChaosSet true without -chaos")
+				if o.ChaosSet || o.CacheSet {
+					t.Errorf("ChaosSet=%v CacheSet=%v without -chaos or -cache", o.ChaosSet, o.CacheSet)
 				}
 				if o.Cache != DefaultCacheDir {
 					t.Errorf("Cache = %q, want %q", o.Cache, DefaultCacheDir)
@@ -74,8 +74,8 @@ func TestFlagParsing(t *testing.T) {
 			name: "cache off",
 			args: []string{"-cache", "off"},
 			check: func(t *testing.T, o *Options) {
-				if o.CacheDir() != "" {
-					t.Errorf("CacheDir() = %q, want empty for -cache off", o.CacheDir())
+				if o.CacheDir() != "" || !o.CacheSet {
+					t.Errorf("CacheDir() = %q, CacheSet = %v, want empty and true for -cache off", o.CacheDir(), o.CacheSet)
 				}
 			},
 		},
