@@ -15,6 +15,32 @@ import (
 // these drive run() in-process and must not run in parallel (process-wide
 // sim.RunDefaults, the interrupted flag, the catalog).
 
+// TestRunFailureSummaryDeterministic: a failing section settles every cell
+// of its grid before it reports, so the quarantine list and the failures
+// are the same at any parallelism.
+func TestRunFailureSummaryDeterministic(t *testing.T) {
+	render := func(parallel int) string {
+		var out, errOut strings.Builder
+		o := options{Options: runopts.Options{Parallel: parallel, Cache: runopts.CacheOff, MaxCycles: 100_000}, only: "E9,A3"}
+		if code := run(o, &out, &errOut); code != 1 {
+			t.Fatalf("-parallel %d: exit = %d, want 1; stderr: %s", parallel, code, errOut.String())
+		}
+		s := out.String()
+		i := strings.LastIndex(s, "\nreproduced with 2 failed experiment(s) in")
+		if i < 0 {
+			t.Fatalf("-parallel %d: missing failure footer:\n%s", parallel, s)
+		}
+		return s[:i]
+	}
+	serial := render(1)
+	if !strings.Contains(serial, "quarantined cells (10):") {
+		t.Fatalf("want every cell of both grids quarantined:\n%s", serial)
+	}
+	if parallel := render(2); parallel != serial {
+		t.Fatalf("failure summary depends on parallelism:\n-parallel 1:\n%s\n-parallel 2:\n%s", serial, parallel)
+	}
+}
+
 // TestRunPoisonQuarantineDegraded: a poisoned cell prefix fails its section
 // while the other section reproduces; the run reports the quarantined cells
 // on stdout and exits with the degraded code, distinct from total failure.

@@ -63,24 +63,33 @@ type simCell struct {
 // SimEvents reports the simulated event count (runner.Eventer).
 func (r simCell) SimEvents() uint64 { return r.Events }
 
-// collect submits cell(k) for every key, then waits on the futures in key
+// collect submits cell(k) for every key, then waits on every future in key
 // order and returns each key's result. Submitting everything first lets the
-// cells run in parallel; waiting in order makes a failure report the first
-// failing key's error, whichever cell failed first on the host. A key listed
-// twice is submitted twice, the second time as a memo hit: the figures list
-// a reference cell before a row that holds it too.
+// cells run in parallel. Waiting on all of them before returning makes a
+// failing grid settle every cell, so the quarantine list is the same at any
+// parallelism, and the error is the first failing key's, whichever cell
+// failed first on the host. A key listed twice is submitted twice, the
+// second time as a memo hit: the figures list a reference cell before a row
+// that holds it too.
 func collect[K comparable, R any](keys []K, cell func(K) runner.Future[R]) (map[K]R, error) {
 	futs := make([]runner.Future[R], len(keys))
 	for i, k := range keys {
 		futs[i] = cell(k)
 	}
 	out := make(map[K]R, len(keys))
+	var first error
 	for i, f := range futs {
 		r, err := f.Wait()
 		if err != nil {
-			return nil, err
+			if first == nil {
+				first = err
+			}
+			continue
 		}
 		out[keys[i]] = r
+	}
+	if first != nil {
+		return nil, first
 	}
 	return out, nil
 }

@@ -2,7 +2,9 @@
 // cell — one (workload, mode, threads, config) execution on a private
 // sim.Machine — as a keyed job, fans jobs out across host worker goroutines,
 // and memoizes results so that every distinct cell simulates at most once
-// per process no matter how many experiments request it.
+// per process no matter how many experiments request it. A cell the
+// persistent Store already holds is served on the submitting goroutine;
+// only cells that must simulate take a worker.
 //
 // Host parallelism cannot perturb simulated results: a job owns its machine
 // and every machine is a deterministic closed system (per-context seeded
@@ -74,11 +76,12 @@ const (
 // Store is a persistent, cross-process result cache consulted for every
 // unique key before its job function runs. Load must decode the entry for
 // key into out (a *T for the job's result type T) and report the outcome;
-// Save persists a computed result. Implementations must be safe for
-// concurrent use by multiple worker goroutines, and must only ever return
-// StoreHit for fully verified entries — a corrupt or ambiguous entry is
-// StoreInvalid, never a wrong value. internal/memo provides the on-disk,
-// content-addressed implementation.
+// Save persists a computed result. Load runs on the goroutine that calls
+// Submit, Save on a worker. Implementations must be safe for concurrent
+// use by multiple goroutines, and must only ever return StoreHit for fully
+// verified entries — a corrupt or ambiguous entry is StoreInvalid, never a
+// wrong value. internal/memo provides the on-disk, content-addressed
+// implementation.
 type Store interface {
 	Load(key Key, out any) LoadStatus
 	Save(key Key, v any) error
@@ -119,7 +122,9 @@ type Engine struct {
 }
 
 type job struct {
-	done   chan struct{}
+	// done is released once, when the job settles. A WaitGroup lives in
+	// the job, where a channel would be one more allocation per job.
+	done   sync.WaitGroup
 	val    any
 	err    error
 	events uint64
@@ -174,12 +179,14 @@ type Future[T any] struct {
 
 // Submit schedules fn under key unless a job with that key already ran (or
 // is in flight), in which case the returned future shares its result. fn
-// must be a pure function of key. Before running fn the engine consults its
-// inject hook (see SetInject) and then its persistent Store (if one is set):
-// a verified hit is returned without simulating anything; a miss or invalid
-// entry runs fn and writes the entry back. A failed job — returned error,
-// panic, or injected failure — is quarantined (see Quarantined). Submit never
-// blocks on job execution; collect results with Wait.
+// must be a pure function of key. Submit itself consults the inject hook
+// (see SetInject) and then the persistent Store (if one is set): an injected
+// failure or a verified hit settles the job before Submit returns, with no
+// goroutine and no worker slot. Only a miss or invalid entry starts a
+// goroutine, which waits for a worker slot, runs fn and writes the entry
+// back. A failed job — returned error, panic, or injected failure — is
+// quarantined (see Quarantined). Submit never blocks on job execution;
+// collect results with Wait.
 func Submit[T any](e *Engine, key Key, fn func() (T, error)) Future[T] {
 	e.mu.Lock()
 	if j, ok := e.jobs[key]; ok {
@@ -187,31 +194,46 @@ func Submit[T any](e *Engine, key Key, fn func() (T, error)) Future[T] {
 		e.mu.Unlock()
 		return Future[T]{j}
 	}
-	j := &job{done: make(chan struct{})}
+	j := &job{}
+	j.done.Add(1)
 	e.jobs[key] = j
 	store, inject := e.store, e.inject
 	e.mu.Unlock()
 
+	if probe[T](e, key, store, inject, j) {
+		return Future[T]{j}
+	}
 	go func() {
 		e.sem <- struct{}{} // acquire a worker slot
 		defer func() {
 			if p := recover(); p != nil {
 				j.err = panicError(key, p)
 			}
+			<-e.sem
 			e.settle(key, j)
 		}()
-		j.val, j.err = runJob(e, key, store, inject, j, fn)
+		j.val, j.err = execute(e, key, store, j, fn)
 	}()
 	return Future[T]{j}
 }
 
-// runJob is one job end to end: injected failure, store probe, execution,
-// write-back. The inject hook runs before the store probe, so a poisoned
-// cell fails even when the store holds a verified entry for it.
-func runJob[T any](e *Engine, key Key, store Store, inject func(Key) error, j *job, fn func() (T, error)) (any, error) {
+// probe is the part of a job that needs no worker: the inject hook, then
+// the store probe. The hook runs first, so a poisoned cell fails even when
+// the store holds a verified entry for it. probe settles the job and
+// reports true on an injected failure, a verified hit, or a panic in
+// either; otherwise the job needs fn.
+func probe[T any](e *Engine, key Key, store Store, inject func(Key) error, j *job) (settled bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			j.err, settled = panicError(key, p), true
+		}
+		if settled {
+			e.settle(key, j)
+		}
+	}()
 	if inject != nil {
-		if err := inject(key); err != nil {
-			return nil, err
+		if j.err = inject(key); j.err != nil {
+			return true
 		}
 	}
 	var cached T
@@ -220,7 +242,8 @@ func runJob[T any](e *Engine, key Key, store Store, inject func(Key) error, j *j
 		e.mu.Lock()
 		e.cacheHits++
 		e.mu.Unlock()
-		return cached, nil
+		j.val = cached
+		return true
 	case StoreMiss:
 		e.mu.Lock()
 		e.cacheMisses++
@@ -230,6 +253,12 @@ func runJob[T any](e *Engine, key Key, store Store, inject func(Key) error, j *j
 		e.cacheInvalid++
 		e.mu.Unlock()
 	}
+	return false
+}
+
+// execute runs a job that missed the store, on a worker, and writes its
+// result back.
+func execute[T any](e *Engine, key Key, store Store, j *job, fn func() (T, error)) (any, error) {
 	e.mu.Lock()
 	e.executed++
 	e.mu.Unlock()
@@ -251,7 +280,7 @@ func runJob[T any](e *Engine, key Key, store Store, inject func(Key) error, j *j
 // result. A future whose job was submitted under a different result type
 // returns an error rather than panicking.
 func (f Future[T]) Wait() (T, error) {
-	<-f.j.done
+	f.j.done.Wait()
 	var zero T
 	if f.j.err != nil {
 		return zero, f.j.err

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,7 +17,9 @@ type fakeStore struct {
 	entries map[Key]int
 	// invalid marks keys whose entries fail verification.
 	invalid map[Key]bool
-	saves   int
+	// panicKey's Load panics, as a store with a corrupt index might.
+	panicKey Key
+	saves    int
 }
 
 func newFakeStore() *fakeStore {
@@ -26,6 +29,9 @@ func newFakeStore() *fakeStore {
 func (s *fakeStore) Load(key Key, out any) LoadStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if key == s.panicKey {
+		panic("corrupt index")
+	}
 	if s.invalid[key] {
 		return StoreInvalid
 	}
@@ -143,5 +149,70 @@ func TestNoStoreNoCounters(t *testing.T) {
 	}
 	if s.Executed != 1 {
 		t.Fatalf("Executed = %d, want 1", s.Executed)
+	}
+}
+
+// TestStoreHitNeedsNoWorker: a hit and an injected failure settle on the
+// submitting goroutine. With the engine's only worker slot held by a
+// blocked job, both futures still complete, and the hit runs nothing.
+func TestStoreHitNeedsNoWorker(t *testing.T) {
+	st := newFakeStore()
+	st.entries["cell/cached"] = 42
+	st.entries["cell/poisoned"] = 43
+	e := New(1)
+	e.SetStore(st)
+	poisoned := errors.New("poisoned")
+	e.SetInject(func(k Key) error {
+		if k == "cell/poisoned" {
+			return poisoned
+		}
+		return nil
+	})
+	started, release := make(chan struct{}), make(chan struct{})
+	blocker := Submit(e, "cell/blocker", func() (int, error) {
+		close(started)
+		<-release
+		return 1, nil
+	})
+	<-started
+	before := e.Stats()
+	fn := func() (int, error) {
+		t.Error("job function ran")
+		return 0, nil
+	}
+	if v, err := Submit(e, "cell/cached", fn).Wait(); err != nil || v != 42 {
+		t.Fatalf("hit = %v, %v; want 42", v, err)
+	}
+	if _, err := Submit(e, "cell/poisoned", fn).Wait(); !errors.Is(err, poisoned) {
+		t.Fatalf("poisoned cell = %v, want the injected error", err)
+	}
+	after := e.Stats()
+	if after.CacheHits-before.CacheHits != 1 || after.Executed != before.Executed || after.Quarantined != 1 {
+		t.Fatalf("stats %+v -> %+v; want 1 hit, 0 executed, 1 quarantined while the slot was held", before, after)
+	}
+	close(release)
+	if v, err := blocker.Wait(); err != nil || v != 1 {
+		t.Fatalf("blocker = %v, %v", v, err)
+	}
+}
+
+// BenchmarkSubmitHit is the warm-serve path in isolation: Submit and Wait
+// of a fresh key that the store holds.
+func BenchmarkSubmitHit(b *testing.B) {
+	st := newFakeStore()
+	keys := make([]Key, b.N)
+	for i := range keys {
+		keys[i] = Key(fmt.Sprintf("cell/%d", i))
+		st.entries[keys[i]] = i
+	}
+	e := New(1)
+	e.SetStore(st)
+	fn := func() (int, error) { return 0, errors.New("job function ran") }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, k := range keys {
+		if _, err := Submit(e, k, fn).Wait(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

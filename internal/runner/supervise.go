@@ -3,10 +3,11 @@ package runner
 // Supervision: containment and quarantine, the failure handling between the
 // job engine and the thousands-of-cells sweeps it runs.
 //
-//   - Containment: every job runs under one recover. A panicking job becomes
-//     one failed future; workers and every other job keep running. Error
-//     panics (the simulator raises *sim.StallError this way) stay reachable
-//     through the error chain.
+//   - Containment: the inject hook and the store probe run under a recover
+//     on the submitting goroutine, fn under one on its worker. A panicking
+//     job becomes one failed future; workers and every other job keep
+//     running. Error panics (the simulator raises *sim.StallError this way)
+//     stay reachable through the error chain.
 //   - Quarantine: every failed job is recorded. A simulation cell is a pure
 //     function of its key — every simulated machine is a closed deterministic
 //     system — so rerunning a failed cell only reproduces the failure; the
@@ -17,7 +18,8 @@ package runner
 // serves the finished cells and simulates only the rest.
 //
 // Happy-path cost: one nil check for the inject hook per job, and no extra
-// locking unless the job produced events or failed.
+// locking unless the job produced events or failed. A store hit settles on
+// the submitting goroutine, so it costs no goroutine and no worker slot.
 
 import (
 	"fmt"
@@ -32,9 +34,9 @@ func panicError(key Key, p any) error {
 	return fmt.Errorf("runner: job %q panicked: %v", key, p)
 }
 
-// settle finishes a job: event accounting, quarantine of a failure, worker
-// slot release, and waking the waiters — in that order, so Stats() deltas
-// taken after Wait are exact.
+// settle finishes a job: event accounting, quarantine of a failure, and
+// waking the waiters — in that order, so Stats() deltas taken after Wait are
+// exact. A job that ran on a worker releases its slot first.
 func (e *Engine) settle(key Key, j *job) {
 	if j.events != 0 || j.err != nil {
 		e.mu.Lock()
@@ -44,8 +46,7 @@ func (e *Engine) settle(key Key, j *job) {
 		}
 		e.mu.Unlock()
 	}
-	<-e.sem
-	close(j.done)
+	j.done.Done()
 }
 
 // SetInject installs a hook consulted before every job's store probe: a

@@ -32,11 +32,12 @@ func TestDeterministicQuarantine(t *testing.T) {
 	}
 }
 
-// TestFailuresContainedAndQuarantined covers the three ways a cell fails:
-// an error panic and a non-error panic are each contained once into one
-// failed future, and an injected failure fires before the store probe, so a
-// poisoned key fails even when the store holds a verified entry for it.
-// Every case is listed by Quarantined.
+// TestFailuresContainedAndQuarantined covers the ways a cell fails: an error
+// panic and a non-error panic are each contained once into one failed
+// future, an injected failure fires before the store probe, so a poisoned
+// key fails even when the store holds a verified entry for it, and a panic
+// in Store.Load, which runs on the submitting goroutine, fails only its own
+// job. Every case is listed by Quarantined.
 func TestFailuresContainedAndQuarantined(t *testing.T) {
 	t.Run("error panic", func(t *testing.T) {
 		e := New(1)
@@ -96,6 +97,34 @@ func TestFailuresContainedAndQuarantined(t *testing.T) {
 		}
 		if q := e.Quarantined(); !reflect.DeepEqual(q, []Key{"cell/poisoned"}) {
 			t.Fatalf("quarantined = %v", q)
+		}
+	})
+	t.Run("store load panic", func(t *testing.T) {
+		st := newFakeStore()
+		st.panicKey = "cell/1"
+		e := New(2)
+		e.SetStore(st)
+		futs := make([]Future[int], 3)
+		for i := range futs {
+			futs[i] = Submit(e, Key(fmt.Sprintf("cell/%d", i)), func() (int, error) { return i, nil })
+		}
+		for i, f := range futs {
+			v, err := f.Wait()
+			if i == 1 {
+				if err == nil || err.Error() != `runner: job "cell/1" panicked: corrupt index` {
+					t.Fatalf("cell/1 err = %v, want the contained Load panic", err)
+				}
+				continue
+			}
+			if err != nil || v != i {
+				t.Fatalf("cell/%d = %v, %v", i, v, err)
+			}
+		}
+		if q := e.Quarantined(); !reflect.DeepEqual(q, []Key{"cell/1"}) {
+			t.Fatalf("quarantined = %v", q)
+		}
+		if s := e.Stats(); s.Executed != 2 || s.CacheMisses != 2 {
+			t.Fatalf("stats = %+v, want 2 executed, 2 misses", s)
 		}
 	})
 }
