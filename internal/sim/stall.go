@@ -79,8 +79,18 @@ func stateName(s ctxState) string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// newStall snapshots every context's state into a StallError.
+// newStall snapshots every context's state into a StallError. With spans
+// on, queued contexts first charge the Compute quanta that start before
+// last's key, so the dump shows the clocks the one-quantum engine has
+// reached at this point of the event order. Spans are off whenever a
+// deadline is armed, so the watchdog stalls, raised mid-charge, never get
+// here with spans on.
 func (m *Machine) newStall(kind StallKind, last *Context, limit uint64) *StallError {
+	if m.spans {
+		for _, x := range m.ctxs {
+			x.chargeBefore(last.key)
+		}
+	}
 	e := &StallError{Kind: kind, LastRunning: last.id, Limit: limit}
 	for _, x := range m.ctxs {
 		e.Threads = append(e.Threads, ThreadState{
