@@ -70,9 +70,11 @@ func BenchmarkRunQueueContended(b *testing.B) {
 
 // BenchmarkComputeQuanta: sixteen contexts on 8 cores × 2 HyperThreads
 // loop Compute(2000), thirteen quanta a call, so nearly every quantum
-// boundary finds another context due. Queued contexts' quanta are charged
-// in place by whichever context hands the core over, so most boundaries
-// cost a leaf replay, not a coroutine switch. One op is one event.
+// boundary finds another context due. A context that parks mid-Compute
+// waits at its due key, and whichever context hands the core over charges
+// all of its remaining quanta there in one span, so a parked Compute costs
+// one charge and the switch back to its context rather than a charge and
+// a leaf replay per quantum. One op is one event.
 func BenchmarkComputeQuanta(b *testing.B) {
 	const threads, work = 16, 2000
 	const quanta = (work + computeQuantum - 1) / computeQuantum
