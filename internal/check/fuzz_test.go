@@ -175,7 +175,7 @@ func FuzzDifferentialLayout(f *testing.F) {
 // arbitrary machine topologies, not just the paper box: sockets x cores x
 // HyperThreads drawn up to the 64-core limit, with the workload's thread
 // count drawn up to whatever the machine carries. This is where the NUMA
-// cost model, the sharded presence directory, and the widened HTM conflict
+// cost model, the 64-bit presence directory, and the widened HTM conflict
 // masks face the oracle — a remote-transfer cost taken on one engine but
 // not another, or a conflict missed past thread 16, shows up as a
 // divergence or a serializability violation.

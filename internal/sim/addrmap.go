@@ -1,12 +1,13 @@
 package sim
 
 // AddrMap is an open-addressing hash table keyed by simulated address. It
-// backs every address-keyed structure on the engine's hot paths: the
-// machine's line-presence directory here, the HTM conflict directory and
-// speculative write buffer, and the TL2 write set. Go's built-in map costs
-// a hash, a bucket walk and (for the per-transaction tables) a full clear
-// on every attempt; this table keeps keys and values in two flat slices
-// with linear probing — one multiply-shift hash, then sequential memory.
+// backs the engine's sparse address-keyed structures: the HTM conflict
+// directory and speculative write buffer, and the TL2 write set. (The
+// line-presence directory is dense, one word per simulated line, so it is
+// a flat slice instead; see presence.go.) Go's built-in map costs a hash,
+// a bucket walk and (for the per-transaction tables) a full clear on every
+// attempt; this table keeps keys and values in two flat slices with linear
+// probing — one multiply-shift hash, then sequential memory.
 //
 // A zero key marks an empty slot, so no occupancy metadata is needed:
 // address 0 never occurs (simulated memory reserves the first line; Alloc

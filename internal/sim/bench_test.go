@@ -202,3 +202,32 @@ func BenchmarkSchedTreeN512(b *testing.B)       { benchSchedTree(b, 512) }
 func BenchmarkSchedFlatRescanN8(b *testing.B)   { benchSchedFlatRescan(b, 8) }
 func BenchmarkSchedFlatRescanN64(b *testing.B)  { benchSchedFlatRescan(b, 64) }
 func BenchmarkSchedFlatRescanN512(b *testing.B) { benchSchedFlatRescan(b, 512) }
+
+// BenchmarkCoherencePingPong: four contexts on distinct cores take turns
+// at a CAS probe of one lock line, the coherence traffic of a contended
+// spinlock. Each probe is a write miss whose only holder is the previous
+// prober, so every op reads the presence directory, invalidates one remote
+// copy, installs the line and updates the directory twice. The probes call
+// the cache model directly rather than through Context.RMW, so the number
+// isolates the L1 and directory work from scheduling and coroutine
+// switches. One op is one probe.
+func BenchmarkCoherencePingPong(b *testing.B) {
+	const threads = 4
+	m := New(benchConfig(threads, 1))
+	line := LineOf(m.Mem.Alloc(8))
+	m.attach(threads)
+	probe := func(i int) {
+		c := m.ctxs[i%threads]
+		c.cache.access(c, line, true, false)
+	}
+	probe(0) // the first install sizes the directory
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		probe(i)
+	}
+	b.StopTimer()
+	if got := m.CacheStats().Invalidations; got != uint64(b.N) {
+		b.Fatalf("%d invalidations over %d probes: not every probe ping-pongs", got, b.N)
+	}
+}

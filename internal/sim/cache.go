@@ -330,7 +330,7 @@ func (m *Machine) FlushCaches() {
 		c.meta = [cacheSets][cacheWays]uint32{}
 		c.lru = [cacheSets][cacheWays]uint64{}
 	}
-	m.pres.Reset()
+	clear(m.pres)
 }
 
 // CacheStats returns the machine-wide aggregate of cache events.

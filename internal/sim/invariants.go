@@ -97,22 +97,23 @@ func (m *Machine) verifyPresence() error {
 			}
 		}
 	}
-	for i, k := range m.pres.Keys {
-		if k == 0 {
+	for i, got := range m.pres {
+		if got == 0 {
 			continue
 		}
+		line := Addr(i) << 6
 		var want uint64
 		for _, c := range m.caches {
-			tags := &c.tags[setOf(k)]
+			tags := &c.tags[setOf(line)]
 			for w := range tags {
-				if tags[w] == k {
+				if tags[w] == line {
 					want |= 1 << uint(c.id)
 				}
 			}
 		}
-		if want != m.pres.Vals[i] {
+		if want != got {
 			return &InvariantError{Point: "l1-presence",
-				Detail: fmt.Sprintf("presence directory entry for line %#x claims cores %#x, tags say %#x", k, m.pres.Vals[i], want)}
+				Detail: fmt.Sprintf("presence directory entry for line %#x claims cores %#x, tags say %#x", line, got, want)}
 		}
 	}
 	return nil

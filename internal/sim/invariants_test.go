@@ -2,7 +2,7 @@ package sim
 
 import (
 	"errors"
-	"math/rand"
+	"math/bits"
 	"strings"
 	"testing"
 )
@@ -164,27 +164,20 @@ func TestTxMarkTracking(t *testing.T) {
 }
 
 // TestPresenceDirectoryAtScale fills every way of every L1 of a 64-core
-// machine with distinct lines: 32768 directory entries, past the 75% load
-// threshold of the table's 32K-slot starting size, so it grows once. Each
-// context then loads half of its neighbour's lines, evicting half of its own
-// (backward-shift deletes through the grown table) and leaving shared
-// entries with two core bits. The audit must stay clean throughout, and
-// FlushCaches must leave the directory empty.
+// machine with distinct lines: 32768 cached lines, one directory word each.
+// Each context then loads half of its neighbour's lines, evicting half of
+// its own and leaving shared lines with two core bits. The audit must stay
+// clean throughout, FlushCaches must zero every directory word, a line
+// past the table's end must grow it and pass the audit, and a word naming a
+// core that lacks the line must fail it.
 func TestPresenceDirectoryAtScale(t *testing.T) {
 	m := New(Config{Sockets: 8, Cores: 8, ThreadsPerCore: 1, Costs: DefaultCosts(), Seed: 1, Invariants: true})
 	const perCache = cacheSets * cacheWays
 	n := m.TotalCores()
-	// Contiguous lines hash almost collision-free, which would leave the
-	// deletes nothing to shift: each core's eight runs of cacheSets lines
-	// (one run fills one way of every set) sit at random distinct rows of a
-	// region twice the size needed.
-	rows := rand.New(rand.NewSource(1)).Perm(2 * n * cacheWays)
-	arr := m.Mem.AllocArray(2*n*perCache, LineSize)
-	line := func(core, k int) Addr {
-		return arr + Addr((rows[core*cacheWays+k/cacheSets]*cacheSets+k%cacheSets)*LineSize)
-	}
-	if got := len(m.pres.Keys); got != 1<<15 {
-		t.Fatalf("directory starts with %d slots, want %d", got, 1<<15)
+	arr := m.Mem.AllocArray(n*perCache, LineSize)
+	line := func(core, k int) Addr { return arr + Addr((core*perCache+k)*LineSize) }
+	if len(m.pres) != 0 {
+		t.Fatalf("directory starts with %d words, want 0 before any line is cached", len(m.pres))
 	}
 
 	m.Run(n, func(c *Context) {
@@ -192,9 +185,16 @@ func TestPresenceDirectoryAtScale(t *testing.T) {
 			c.Load(line(c.ID(), k))
 		}
 	})
-	if m.pres.Len() != n*perCache || len(m.pres.Keys) != 1<<16 {
-		t.Fatalf("after the fill: %d entries in %d slots, want %d in %d (one growth)",
-			m.pres.Len(), len(m.pres.Keys), n*perCache, 1<<16)
+	last := int(line(n-1, perCache-1) >> 6)
+	if len(m.pres) <= last || len(m.pres) > 2*(last+1) {
+		t.Fatalf("after the fill the directory spans %d lines, want (%d, %d]", len(m.pres), last, 2*(last+1))
+	}
+	held := 0
+	for _, mask := range m.pres {
+		held += bits.OnesCount64(mask)
+	}
+	if held != n*perCache {
+		t.Fatalf("after the fill the directory holds %d core bits, want %d", held, n*perCache)
 	}
 	if err := m.VerifyCaches(); err != nil {
 		t.Fatalf("audit after the fill: %v", err)
@@ -213,15 +213,31 @@ func TestPresenceDirectoryAtScale(t *testing.T) {
 	}
 
 	m.FlushCaches()
-	if m.pres.Len() != 0 {
-		t.Fatalf("directory holds %d entries after FlushCaches", m.pres.Len())
-	}
-	for i, k := range m.pres.Keys {
-		if k != 0 || m.pres.Vals[i] != 0 {
-			t.Fatalf("slot %d holds line %#x (cores %#x) after FlushCaches", i, k, m.pres.Vals[i])
+	for i, mask := range m.pres {
+		if mask != 0 {
+			t.Fatalf("line %#x still names cores %#x after FlushCaches", Addr(i)<<6, mask)
 		}
 	}
 	if err := m.VerifyCaches(); err != nil {
 		t.Fatalf("audit after FlushCaches: %v", err)
+	}
+
+	// A line past the directory's end, cached by two cores: add grows the
+	// table to cover it.
+	span := len(m.pres)
+	far := m.Mem.AllocArray(span*8, 8) + Addr(span*8-1)*8
+	if int(far>>6) < span {
+		t.Fatalf("line %#x lies inside the %d-line span", LineOf(far), span)
+	}
+	m.Run(2, func(c *Context) { c.Load(far) })
+	if got, want := m.pres.get(LineOf(far)), uint64(1<<0|1<<1); got != want {
+		t.Fatalf("line %#x past the %d-line span names cores %#x, want %#x", LineOf(far), span, got, want)
+	}
+	if err := m.VerifyCaches(); err != nil {
+		t.Fatalf("audit after caching a line past the span: %v", err)
+	}
+	m.pres[LineOf(far)>>6] |= 1 << 5
+	if err := m.VerifyCaches(); err == nil || !strings.Contains(err.Error(), "l1-presence") {
+		t.Fatalf("audit of a directory word naming a core without the line = %v, want an l1-presence error", err)
 	}
 }

@@ -8,43 +8,37 @@ package sim
 // core's set. The directory is exact, not a filter: install, invalidate,
 // eviction, EvictStorm and FlushCaches keep it in lockstep with the tag
 // planes, and VerifyCaches audits the correspondence.
-type presenceTab struct {
-	AddrMap[uint64] // line → bitmask of core ids holding it
-}
-
-// presenceSize is the directory's starting size for totalCores cores: the
-// size that keeps the worst case (every way of every cache valid, all lines
-// distinct) under 25% load, capped at 32K slots so big topologies lean on
-// on-demand growth (host-side work, invisible to virtual time) instead of a
-// huge up-front allocation. At the 64-core limit the worst case grows the
-// capped table once, so FlushCaches' Reset never shrinks it.
-func presenceSize(totalCores int) int {
-	size := 1024
-	for size < totalCores*cacheSets*cacheWays*4 && size < 1<<15 {
-		size *= 2
-	}
-	return size
-}
+//
+// Simulated memory is one flat word array, so line numbers (line >> 6) are
+// dense: the directory is a flat slice of core masks indexed by line
+// number, one word per simulated line, grown by doubling as lines past its
+// end are first cached.
+type presenceTab []uint64
 
 // get returns the core bitmask for line (0 when no cache holds it).
-func (p *presenceTab) get(line Addr) uint64 {
-	if i := p.Find(line); i >= 0 {
-		return p.Vals[i]
+func (p presenceTab) get(line Addr) uint64 {
+	if i := uint64(line >> 6); i < uint64(len(p)) {
+		return p[i]
 	}
 	return 0
 }
 
 // add sets core's bit for line.
 func (p *presenceTab) add(line Addr, core int) {
-	i, _ := p.Place(line)
-	p.Vals[i] |= 1 << uint(core)
+	i := int(line >> 6)
+	if i >= len(*p) {
+		n := max(len(*p), 64)
+		for n <= i {
+			n *= 2
+		}
+		grown := make([]uint64, n)
+		copy(grown, *p)
+		*p = grown
+	}
+	(*p)[i] |= 1 << uint(core)
 }
 
-// drop clears core's bit for line, removing the entry when no copies remain.
-func (p *presenceTab) drop(line Addr, core int) {
-	if i := p.Find(line); i >= 0 {
-		if p.Vals[i] &^= 1 << uint(core); p.Vals[i] == 0 {
-			p.Remove(i)
-		}
-	}
+// drop clears core's bit for line, which that core's cache holds.
+func (p presenceTab) drop(line Addr, core int) {
+	p[line>>6] &^= 1 << uint(core)
 }

@@ -349,7 +349,6 @@ func NewE(cfg Config) (*Machine, error) {
 		cslab[i].socket = i / cfg.Cores
 		m.caches[i] = &cslab[i]
 	}
-	m.pres.Init(presenceSize(m.nCores))
 	m.deadline = ^uint64(0)
 	m.armProbes()
 	if cfg.Faults != nil {
