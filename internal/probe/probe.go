@@ -271,7 +271,7 @@ func AttachSource(fn func() Snapshot) {
 func AttachTrace(label string, max int) *Trace {
 	global.mu.Lock()
 	defer global.mu.Unlock()
-	t := newTrace(label, len(global.traces)+1, max)
+	t := newTrace(label, max)
 	global.traces = append(global.traces, t)
 	return t
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -119,7 +120,7 @@ func TestHotPathsZeroAlloc(t *testing.T) {
 	s := NewSet()
 	c := s.Counter("c")
 	h := s.Hist("h")
-	tr := newTrace("m", 1, 64)
+	tr := newTrace("m", 64)
 	if n := testing.AllocsPerRun(100, func() { c.Inc(); c.Add(3) }); n != 0 {
 		t.Fatalf("Counter ops allocate: %v allocs/op", n)
 	}
@@ -132,7 +133,7 @@ func TestHotPathsZeroAlloc(t *testing.T) {
 }
 
 func TestTraceBoundedKeepFirst(t *testing.T) {
-	tr := newTrace("m", 1, 2)
+	tr := newTrace("m", 2)
 	tr.Emit(0, 1, 1, "txn", "a")
 	tr.Emit(1, 2, 1, "txn", "b")
 	tr.Emit(0, 3, 1, "txn", "c")
@@ -199,6 +200,47 @@ func TestWriteChromeTraceSchema(t *testing.T) {
 	}
 	if meta != 2 || spans != 3 {
 		t.Fatalf("meta=%d spans=%d, want 2/3", meta, spans)
+	}
+}
+
+// Machines register their traces from host worker goroutines, so the
+// registration order varies from run to run; the trace file must not.
+// Four of the traces share a label (cells of one figure that differ only
+// in seed, say), and two of those differ only in how many spans they
+// dropped.
+func TestWriteChromeTraceIgnoresRegistrationOrder(t *testing.T) {
+	defer ResetGlobal()
+	type trace struct {
+		label string
+		spans []Span
+	}
+	traces := []trace{
+		{"stamp/kmeans/tsx/8T", []Span{{0, 5, 5, "txn", "tsx:commit"}}},
+		{"stamp/intruder/tsx/8T", []Span{{1, 100, 40, "txn", "tsx:commit"}}},
+		{"stamp/intruder/tsx/8T", []Span{{0, 100, 40, "txn", "tsx:commit"}, {1, 120, 4, "txn", "tsx:abort:conflict"}}},
+		{"stamp/intruder/tsx/8T", []Span{{0, 100, 40, "txn", "tsx:commit"}, {1, 120, 4, "txn", "tsx:abort:conflict"}, {1, 130, 4, "txn", "tsx:commit"}}},
+		{"stamp/intruder/tsx/8T", []Span{{0, 90, 40, "fallback", "tsx:fallback"}}},
+	}
+	write := func(order []int) string {
+		ResetGlobal()
+		for _, i := range order {
+			tr := AttachTrace(traces[i].label, 2)
+			for _, s := range traces[i].spans {
+				tr.Emit(s.TID, s.Ts, s.Dur, s.Cat, s.Name)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	first, second := write([]int{0, 1, 2, 3, 4}), write([]int{3, 4, 2, 1, 0})
+	if first != second {
+		t.Fatalf("registration order changed the trace file:\n%s\n%s", first, second)
+	}
+	if !strings.Contains(first, `"pid":5`) || strings.Contains(first, `"pid":6`) {
+		t.Fatalf("pids do not number the five traces 1-5:\n%s", first)
 	}
 }
 

@@ -1,10 +1,12 @@
 package probe
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Span is one completed interval on a simulated thread's track: Ts/Dur in
@@ -26,16 +28,15 @@ type Span struct {
 // pure function of the schedule, hence deterministic).
 type Trace struct {
 	label   string
-	pid     int
 	spans   []Span
 	dropped uint64
 }
 
-func newTrace(label string, pid, max int) *Trace {
+func newTrace(label string, max int) *Trace {
 	if max < 1 {
 		max = 1
 	}
-	return &Trace{label: label, pid: pid, spans: make([]Span, 0, max)}
+	return &Trace{label: label, spans: make([]Span, 0, max)}
 }
 
 // Emit records one span, or counts it as dropped when the buffer is full.
@@ -77,35 +78,56 @@ type traceFile struct {
 // Perfetto's legacy loader): one process per machine, one track per
 // simulated thread, "X" complete events for spans. Call it only after the
 // simulation jobs feeding the buffers have completed.
+//
+// The file depends only on the set of traces, not on the order machines
+// registered them (which follows host goroutine scheduling): traces are
+// ordered by label, then by their spans and dropped count, and each
+// machine's pid is its position in that order.
 func WriteChromeTrace(w io.Writer) error {
 	global.mu.Lock()
 	traces := append([]*Trace(nil), global.traces...)
 	global.mu.Unlock()
-	sort.SliceStable(traces, func(i, j int) bool {
-		if traces[i].label != traces[j].label {
-			return traces[i].label < traces[j].label
-		}
-		return traces[i].pid < traces[j].pid
-	})
+	slices.SortFunc(traces, compareTraces)
 	var f traceFile
 	f.DisplayTimeUnit = "ms"
 	f.TraceEvents = []traceEvent{}
-	for _, t := range traces {
+	for i, t := range traces {
+		pid := i + 1
 		name := t.label
 		if t.dropped > 0 {
 			name = fmt.Sprintf("%s (%d spans dropped)", name, t.dropped)
 		}
 		f.TraceEvents = append(f.TraceEvents, traceEvent{
-			Name: "process_name", Ph: "M", PID: t.pid,
+			Name: "process_name", Ph: "M", PID: pid,
 			Args: map[string]any{"name": name},
 		})
 		for _, s := range t.spans {
 			f.TraceEvents = append(f.TraceEvents, traceEvent{
 				Name: s.Name, Cat: s.Cat, Ph: "X",
-				Ts: s.Ts, Dur: s.Dur, PID: t.pid, TID: s.TID,
+				Ts: s.Ts, Dur: s.Dur, PID: pid, TID: s.TID,
 			})
 		}
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&f)
+}
+
+// compareTraces orders traces by label, then spans, then dropped count.
+// Traces it finds equal render identically, so their order is immaterial.
+func compareTraces(a, b *Trace) int {
+	return cmp.Or(
+		strings.Compare(a.label, b.label),
+		slices.CompareFunc(a.spans, b.spans, compareSpans),
+		cmp.Compare(a.dropped, b.dropped),
+	)
+}
+
+func compareSpans(a, b Span) int {
+	return cmp.Or(
+		cmp.Compare(a.TID, b.TID),
+		cmp.Compare(a.Ts, b.Ts),
+		cmp.Compare(a.Dur, b.Dur),
+		strings.Compare(a.Cat, b.Cat),
+		strings.Compare(a.Name, b.Name),
+	)
 }

@@ -34,6 +34,36 @@ func BenchmarkHandoffPingPong(b *testing.B) {
 	})
 }
 
+// BenchmarkHandoffDeep is BenchmarkHandoffPingPong with each event issued
+// from the bottom of a nine-frame recursion, as a workload's Load inside a
+// tree walk is: two contexts on distinct cores alternate Loads of their own
+// line, so every Load hands the core over and each resumed context returns
+// up through the whole walk. The switch leaves the CPU's
+// return predictor one entry off (coro_amd64.s), so each of those returns
+// can mispredict; the gap to BenchmarkHandoffPingPong is what stack depth
+// costs a handoff. One op is one event on one side.
+func BenchmarkHandoffDeep(b *testing.B) {
+	m := New(benchConfig(2, 1))
+	lines := [2]Addr{m.Mem.AllocLine(8), m.Mem.AllocLine(8)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.Run(2, func(c *Context) {
+		for i := 0; i < b.N/2; i++ {
+			loadDeep(c, lines[c.ID()], 8)
+		}
+	})
+}
+
+// loadDeep loads a depth calls below its caller.
+//
+//go:noinline
+func loadDeep(c *Context, a Addr, depth int) uint64 {
+	if depth > 0 {
+		return loadDeep(c, a, depth-1)
+	}
+	return c.Load(a)
+}
+
 // BenchmarkSameContextBatch: a single context holds the strict clock
 // minimum forever, so every maybeYield takes the no-switch fast path (one
 // comparison against the cached queue minimum). One op is one batched

@@ -30,12 +30,14 @@ package sim
 //     (Pull carries its own happens-before annotations; a raw switch carries
 //     none) and under the nocorolink build tag.
 //
-// Measured (DESIGN.md §12): over ten alternated hostbench rounds the
-// iter.Pull slot costs +14% ref_per_mevent on stamp-8t and +19% on
-// net-scale against the fast path, losing every round; the channel
-// handshake it replaced as the portable backend cost +168% and +205%. On
-// BenchmarkHandoffPingPong (two contexts) the iter.Pull gap is only 8-13%,
-// so the micro-benchmark understates what the fast path buys.
+// Measured (DESIGN.md §12, "Shallow handoffs"): over ten alternated
+// hostbench rounds the iter.Pull slot costs +13% ref_per_mevent on stamp-8t
+// and +28% on net-scale against the fast path, losing every round, and
+// BenchmarkHandoffPingPong reads 151 against 110 ns/op. Most of that
+// margin is the fast path's shallow park (its switch thunk tail-jumps into
+// the runtime, coro_amd64.s): with a call thunk the two slots were within
+// 2% on the ping-pong. The channel handshake iter.Pull replaced as the
+// portable backend cost +168% and +205% against an earlier fast path.
 //
 // The scheduler layered on top (sim.go) owns the invariants iter.Pull
 // enforces for its own callers. The party that resumes a goroutine must

@@ -15,3 +15,7 @@ const coroFastBuild = false
 
 func newcoro(f func(*coro)) *coro { return pullNewcoro(f) }
 func coroswitch(c *coro)          { pullCoroswitch(c) }
+
+// setCoroDegraded only records the flag: the iter.Pull slot is the one
+// backend this build has.
+func setCoroDegraded(on bool) { coroDegraded = on }

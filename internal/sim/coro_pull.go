@@ -25,8 +25,10 @@ type coro struct {
 
 // coroDegraded is set once, during init on the fast-path build, when the
 // runtime-coroutine backend is unavailable (discovery failure or failed
-// self-test). It never changes after init, so a process runs exactly one
-// backend and no slot ever sees mixed semantics.
+// self-test); setCoroDegraded sets it together with the switch thunk's
+// target. Outside the backend tests, which flip both between regions, it
+// never changes after init, so a process runs exactly one backend and no
+// slot ever sees mixed semantics.
 var coroDegraded bool
 
 // SchedulerBackend reports which coroutine backend drives the scheduler's

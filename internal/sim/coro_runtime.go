@@ -10,11 +10,30 @@ package sim
 // are classified as linknames too. Their entry PCs are public information,
 // however — the runtime's own symbol table reports them through
 // runtime.FuncForPC — so coroInit discovers the PCs once at startup by
-// walking the text segment, and callcoro (coro_amd64.s) makes an
-// ABIInternal call to a raw PC. The thunk is the only
+// walking the text segment, and the thunks in coro_amd64.s enter a raw PC
+// with the ABIInternal register argument. The thunks are the only
 // architecture-specific piece; other architectures use the iter.Pull backend
 // (coro_pull.go) directly. So do race builds: a raw switch carries no
 // happens-before edge for the detector, while iter.Pull annotates its own.
+//
+// The switch is a tail call. coroswitch inlines into each park (maybeYield,
+// Block, the finish park, the driver's resume), whose code calls
+// callCoroswitch, and the thunk jumps to runtime.coroswitch instead of
+// calling it. The thunk has no frame ($0, NOFRAME), so the runtime's frame
+// sits directly on the Go caller's, with the caller's return address where
+// a direct call would have put it: tracebacks, stack copying and the GC see
+// an ordinary call from the scheduling point. Nothing describes the thunk's
+// c argument once the jump is taken, which is safe because the scheduler
+// keeps every slot it switches on reachable (Context.parkedIn,
+// Machine.dispParked). Depth matters because the runtime parks through
+// mcall and resumes through gogo: that leaves the CPU's return-stack
+// predictor one entry off, so every return on the resumed goroutine's way
+// back to workload code mispredicts. With the jump and the inlined park a
+// resumed carrier returns from runtime.coroswitch straight into its
+// scheduling point; before, it also returned through the thunk and,
+// depending on what PGO inlined, coroswitch and parkOn.
+// TestParkedCarrierFrames pins the layout and BenchmarkHandoffDeep prices
+// the depth.
 //
 // The discovery is deliberately conservative: it walks function by function
 // from the base of the text segment (the runtime is always linked first),
@@ -24,7 +43,8 @@ package sim
 // coroInit degrades to the iter.Pull backend with a logged warning
 // (degradeCoro), the sweep completes with identical results, and the
 // nocorolink build tag remains the explicit opt-out while the thunk is
-// updated.
+// updated. Degrading points the switch thunk at pullCoroswitch, so a switch
+// is one unconditional thunk call on either backend.
 
 import (
 	"fmt"
@@ -41,7 +61,13 @@ const coroFastBuild = true
 
 var (
 	newcoroPC    uintptr // entry of runtime.newcoro
-	coroswitchPC uintptr // entry of runtime.coroswitch
+	coroswitchPC uintptr // entry coroswitch jumps to: runtime.coroswitch, or pullCoroswitch once degraded
+
+	runtimeCoroswitchPC uintptr // entry of runtime.coroswitch, once discovered
+	// pullCoroswitchPC is pullCoroswitch's ABIInternal entry, the code
+	// pointer of its func value, which takes c in AX as runtime.coroswitch
+	// does.
+	pullCoroswitchPC = reflect.ValueOf(pullCoroswitch).Pointer()
 )
 
 func init() { coroInit() }
@@ -61,8 +87,19 @@ func coroInit() {
 // results, so a massive sweep on a new toolchain completes slowly instead of
 // dying at startup.
 func degradeCoro(reason string) {
-	coroDegraded = true
+	setCoroDegraded(true)
 	os.Stderr.WriteString("sim: warning: " + reason + "; degrading to the portable iter.Pull scheduler (slower, results unchanged)\n")
+}
+
+// setCoroDegraded moves the process onto the iter.Pull slot (on) or back to
+// the runtime's coros (off, only after a successful discovery). Every slot
+// must be idle: a slot's semantics follow the backend that created it.
+func setCoroDegraded(on bool) {
+	coroDegraded = on
+	coroswitchPC = runtimeCoroswitchPC
+	if on {
+		coroswitchPC = pullCoroswitchPC
+	}
 }
 
 // discoverCoroPCs walks the text segment for the two runtime entry points.
@@ -89,7 +126,7 @@ func discoverCoroPCs() error {
 	// Hop function to function until both entries are found. The scan is
 	// bounded by the end of the text segment; in practice coro.go's code
 	// sits in the first megabyte of the runtime and the walk ends early.
-	for pc := lo; newcoroPC == 0 || coroswitchPC == 0; {
+	for pc := lo; newcoroPC == 0 || runtimeCoroswitchPC == 0; {
 		f := runtime.FuncForPC(pc)
 		if f == nil {
 			if pc > anchor {
@@ -103,7 +140,7 @@ func discoverCoroPCs() error {
 		case "runtime.newcoro":
 			newcoroPC = f.Entry()
 		case "runtime.coroswitch":
-			coroswitchPC = f.Entry()
+			runtimeCoroswitchPC = f.Entry()
 		}
 		// Advance past this function: FuncForPC reports the same entry for
 		// every address it covers.
@@ -114,6 +151,7 @@ func discoverCoroPCs() error {
 			}
 		}
 	}
+	coroswitchPC = runtimeCoroswitchPC
 	return nil
 }
 
@@ -139,11 +177,12 @@ func coroSelfTest() (err error) {
 	return nil
 }
 
-// callNewcoro and callCoroswitch (coro_amd64.s) make an ABIInternal call to
-// the runtime primitive at pc, with the second argument in the first
-// argument register. The Go declarations also give the thunk frames precise
-// argument pointer maps, so f and c stay visible to the garbage collector
-// while a carrier goroutine is parked inside the runtime.
+// callNewcoro and callCoroswitch (coro_amd64.s) enter the function at pc
+// with the second argument in the first argument register: callNewcoro by
+// call, keeping f visible to the garbage collector through its argument
+// pointer map while newcoro runs; callCoroswitch by tail jump, leaving no
+// frame of its own on the parked stack, so c must stay reachable through
+// the caller (Context.parkedIn, Machine.dispParked).
 func callNewcoro(pc uintptr, f func(*coro)) *coro
 func callCoroswitch(pc uintptr, c *coro)
 
@@ -159,10 +198,6 @@ func newcoro(f func(*coro)) *coro {
 }
 
 // coroswitch releases the goroutine parked in c and parks the caller there.
-func coroswitch(c *coro) {
-	if coroDegraded {
-		pullCoroswitch(c)
-		return
-	}
-	callCoroswitch(coroswitchPC, c)
-}
+// It inlines into every park, so the thunk's jump leaves the switch's frame
+// directly on the scheduling point's.
+func coroswitch(c *coro) { callCoroswitch(coroswitchPC, c) }
