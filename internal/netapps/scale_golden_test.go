@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"tsxhpc/internal/core"
 	"tsxhpc/internal/faults"
 	"tsxhpc/internal/sim"
 )
@@ -51,6 +52,36 @@ func TestScaleGoldens(t *testing.T) {
 			}
 			if got := [4]uint64{r.Cycles, r.Events, r.Bytes, r.ReadCycles}; got != c.want {
 				t.Errorf("(Cycles, Events, Bytes, ReadCycles) = %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+// TestFig6ChaosGoldens pins Run's simulated outcome (makespan and event
+// count) for netferret under each eliding Figure 6 module with the chaos
+// fault plan armed. Injected aborts drive the elided regions through every
+// retry branch, lock-busy wait and fallback, and netferret's small
+// request/response packets wait on and signal condition variables in
+// nearly every region.
+func TestFig6ChaosGoldens(t *testing.T) {
+	cells := []struct {
+		mode core.LockMode
+		want [2]uint64 // Cycles, Events
+	}{
+		{core.ModeTSXAbort, [2]uint64{3254882, 488710}},
+		{core.ModeTSXCond, [2]uint64{1869661, 75833}},
+		{core.ModeTSXBusyWait, [2]uint64{1267955, 124034}},
+	}
+	sim.SetRunDefaults(sim.RunDefaults{Faults: faults.Chaos(1)})
+	defer sim.SetRunDefaults(sim.RunDefaults{})
+	for _, c := range cells {
+		t.Run(c.mode.String(), func(t *testing.T) {
+			r, err := Run("netferret", c.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := [2]uint64{r.Cycles, r.Events}; got != c.want {
+				t.Errorf("(Cycles, Events) = %v, want %v", got, c.want)
 			}
 		})
 	}
