@@ -73,21 +73,23 @@ func (m LockMode) Elides() bool {
 // synchronization strategy for the whole system with no changes to the code
 // using it.
 type LockModule struct {
-	M          *sim.Machine
-	Mode       LockMode
-	RT         *htm.Runtime // non-nil for eliding modes
-	STM        *stm.TL2     // non-nil for ModeTL2
-	MaxRetries int
+	M    *sim.Machine
+	Mode LockMode
+	RT   *htm.Runtime // non-nil for eliding modes
+	STM  *stm.TL2     // non-nil for ModeTL2
+	el   *tm.Elider   // the eliding modes' one elision site, "lockmod"
 }
 
 // NewLockModule creates a locking module for machine m. For eliding modes it
-// installs the TSX runtime on the machine; for ModeTL2 it creates the TL2
-// instance all the module's regions share (one global version clock and orec
-// table, as TL2 prescribes).
+// installs the TSX runtime on the machine and builds the elision site every
+// region runs through; for ModeTL2 it creates the TL2 instance all the
+// module's regions share (one global version clock and orec table, as TL2
+// prescribes).
 func NewLockModule(m *sim.Machine, mode LockMode) *LockModule {
-	lm := &LockModule{M: m, Mode: mode, MaxRetries: tm.DefaultMaxRetries}
+	lm := &LockModule{M: m, Mode: mode}
 	if mode.Elides() {
 		lm.RT = htm.New(m)
+		lm.el = tm.NewElider(lm.RT, m, "lockmod")
 	}
 	if mode == ModeTL2 {
 		lm.STM = stm.New(m)
@@ -97,13 +99,16 @@ func NewLockModule(m *sim.Machine, mode LockMode) *LockModule {
 
 // Region is one lock domain (one mutex and the critical sections it guards).
 type Region struct {
-	lm *LockModule
-	mu *ssync.Mutex
+	lm    *LockModule
+	mu    *ssync.Mutex
+	locks [1]*ssync.Mutex // mu as the one-element set the elider takes
 }
 
 // NewRegion creates a lock domain.
 func (lm *LockModule) NewRegion() *Region {
-	return &Region{lm: lm, mu: ssync.NewMutex(lm.M.Mem)}
+	r := &Region{lm: lm, mu: ssync.NewMutex(lm.M.Mem)}
+	r.locks[0] = r.mu
+	return r
 }
 
 // CondVar is a monitor condition associated with a Region's lock. The seq
@@ -255,12 +260,12 @@ func (s *plainCS) Waiters(cv *CondVar) uint64 {
 	return s.c.Load(cv.nWait)
 }
 
-// txCS executes inside an emulated hardware transaction.
+// txCS executes inside an emulated hardware transaction; one serves every
+// attempt of a Region.Do, and pending holds the current attempt's callbacks.
 type txCS struct {
 	t       *htm.Txn
-	r       *Region
 	mode    LockMode
-	pending *[]pendingOp
+	pending []pendingOp
 }
 
 func (s *txCS) Load(a sim.Addr) uint64     { return s.t.Load(a) }
@@ -296,7 +301,7 @@ func (s *txCS) Signal(cv *CondVar) {
 		s.t.Abort(htm.SyscallAbort)
 	case ModeTSXCond:
 		// Register a callback to run after the transaction commits.
-		*s.pending = append(*s.pending, pendingOp{cv: cv})
+		s.pending = append(s.pending, pendingOp{cv: cv})
 	case ModeTSXBusyWait:
 		// Waiters poll; nothing to do.
 	}
@@ -307,7 +312,7 @@ func (s *txCS) Broadcast(cv *CondVar) {
 	case ModeTSXAbort:
 		s.t.Abort(htm.SyscallAbort)
 	case ModeTSXCond:
-		*s.pending = append(*s.pending, pendingOp{cv: cv, broadcast: true})
+		s.pending = append(s.pending, pendingOp{cv: cv, broadcast: true})
 	case ModeTSXBusyWait:
 	}
 }
@@ -365,123 +370,64 @@ func (r *Region) Do(c *sim.Context, body func(CS)) {
 }
 
 // doTL2 runs body as a TL2 transaction, restarting after a poll gap whenever
-// the body asks to wait for a monitor condition.
+// the body asks to wait for a monitor condition (TL2 retries conflicts
+// internally, so a return without a wait is a commit).
 func (r *Region) doTL2(c *sim.Context, body func(CS)) {
-	costs := r.lm.M.Costs
-	for {
-		if r.tryTL2(c, body) {
-			return
-		}
-		c.Compute(costs.PollGap)
+	for unwound(func() {
+		r.lm.STM.Run(c, func(t *stm.Txn) { body(&tl2CS{t: t, c: c}) })
+	}) != nil {
+		c.Compute(r.lm.M.Costs.PollGap)
 	}
 }
 
-// tryTL2 runs one TL2 execution of body, translating a waitRequest unwind
-// into a false return (TL2 retries conflicts internally, so a return means
-// either commit or wait).
-func (r *Region) tryTL2(c *sim.Context, body func(CS)) (done bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(waitRequest); ok {
-				done = false
-				return
-			}
-			panic(p)
-		}
-	}()
-	r.lm.STM.Run(c, func(t *stm.Txn) {
-		body(&tl2CS{t: t, c: c})
-	})
-	return true
-}
-
-// conflictRetryBudget is how many conflict aborts a critical section
-// retries before they start counting toward the lock-fallback budget.
-// Unlike capacity or lock-busy aborts, a data conflict in a communication-
-// heavy stack usually means the peer just made progress (enqueued or
-// drained a packet), so the retry will see fresh state and succeed;
-// escalating to the fallback lock on conflicts triggers serialization
-// storms (every acquisition aborts every other elided section).
-const conflictRetryBudget = 32
-
-// doElided is the transactional path shared by the three eliding modes.
+// doElided is the path shared by the three eliding modes: one pass through
+// the module's elision site, running body on a txCS while the policy's
+// budget lasts and then with the lock held on a plainCS (condition variables
+// manipulated pthread style, or busy-waited for the busywait mode). If the
+// committed body asked to wait, it waits and passes again with a fresh
+// budget.
 func (r *Region) doElided(c *sim.Context, body func(CS)) {
 	lm := r.lm
-	costs := lm.M.Costs
-	attempt := 0
-	conflicts := 0
-	for attempt < lm.MaxRetries {
-		var pending []pendingOp
-		cause, noRetry, wait := r.tryOnce(c, body, &pending)
-		if wait != nil {
-			// The body committed partial results and asked to wait; run any
-			// registered callbacks, park, then restart with a fresh budget.
-			r.flush(c, pending)
-			if wait.busy {
-				c.Compute(costs.PollGap)
-			} else {
-				wait.cv.futexWait(c, wait.expected)
-				// Deregister: the restarted body will re-register if it
-				// must wait again.
-				ssync.AtomicAdd(c, wait.cv.nWait, ^uint64(0))
-			}
-			attempt, conflicts = 0, 0
-			continue
-		}
-		if cause == htm.NoAbort {
-			r.flush(c, pending)
+	tx := &txCS{mode: lm.Mode}
+	for {
+		wait := unwound(func() {
+			lm.el.Elide(c, r.locks[:], tm.ModulePolicy, func(tm.Tx) {
+				tx.pending = tx.pending[:0] // an aborted attempt's callbacks never run
+				if tx.t = lm.RT.Active(c); tx.t != nil {
+					body(tx)
+				} else {
+					body(&plainCS{c: c, r: r, busy: lm.Mode == ModeTSXBusyWait})
+				}
+			})
+		})
+		r.flush(c, tx.pending)
+		if wait == nil {
 			return
 		}
-		if noRetry {
-			attempt = lm.MaxRetries
-			break
-		}
-		switch cause {
-		case htm.LockBusy:
-			attempt++
-			// Bounded wait (see tm.Elider): an unbounded spin can
-			// livelock against a steady stream of fallback lock hand-offs.
-			c.SpinOn(r.mu.Addr, false, costs.MutexSpin, 4*costs.MutexSpinTries)
-		case htm.Conflict:
-			conflicts++
-			if conflicts > conflictRetryBudget {
-				attempt++
-			}
-			c.Compute(uint64(c.Rand.Int63n(int64(16*min(conflicts, 8)))) + 1)
-		default:
-			attempt++
+		if wait.busy {
+			c.Compute(lm.M.Costs.PollGap)
+		} else {
+			wait.cv.futexWait(c, wait.expected)
+			// Deregister: the restarted body will re-register if it must
+			// wait again.
+			ssync.AtomicAdd(c, wait.cv.nWait, ^uint64(0))
 		}
 	}
-	// Fallback: explicit lock; condition variables are manipulated with the
-	// lock held (pthread style), or busy-waited for the busywait mode.
-	lm.RT.Stats.Fallback++
-	r.mu.Lock(c)
-	body(&plainCS{c: c, r: r, busy: lm.Mode == ModeTSXBusyWait})
-	r.mu.Unlock(c)
 }
 
-// tryOnce runs one transactional attempt, translating a waitRequest unwind
-// into a non-nil wait result.
-func (r *Region) tryOnce(c *sim.Context, body func(CS), pending *[]pendingOp) (cause htm.AbortCause, noRetry bool, wait *waitRequest) {
+// unwound runs f, translating a waitRequest unwind into a non-nil result.
+func unwound(f func()) (wait *waitRequest) {
 	defer func() {
 		if p := recover(); p != nil {
-			if wr, ok := p.(waitRequest); ok {
-				wait = &wr
-				return
+			wr, ok := p.(waitRequest)
+			if !ok {
+				panic(p)
 			}
-			panic(p)
+			wait = &wr
 		}
 	}()
-	cause, noRetry = r.lm.RT.Try(c, func(t *htm.Txn) {
-		if t.Load(r.mu.Addr) != 0 {
-			t.Abort(htm.LockBusy)
-		}
-		body(&txCS{t: t, r: r, mode: r.lm.Mode, pending: pending})
-	})
-	if cause != htm.NoAbort {
-		*pending = (*pending)[:0] // aborted: drop registered callbacks
-	}
-	return cause, noRetry, nil
+	f()
+	return nil
 }
 
 // flush executes condition-variable callbacks registered during a committed
