@@ -3,7 +3,8 @@
 // raw transactional hardware (package htm) into application-level speedup.
 //
 // RTM lock elision and lockset elision (Section 5.2.1) are tm.Elider, the
-// loop package tm's TSX mode runs too. This package provides:
+// loop package tm's TSX mode runs too; this package's locking module runs
+// it as well, under tm.ModulePolicy. This package provides:
 //
 //   - DoCoarsened — "dynamic transactional coarsening" (Section 5.2.2,
 //     Listing 3): batch several dynamic instances of the same critical
