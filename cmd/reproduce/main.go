@@ -67,6 +67,7 @@ import (
 	"tsxhpc/internal/experiments"
 	"tsxhpc/internal/harness"
 	"tsxhpc/internal/memo"
+	"tsxhpc/internal/runner"
 	"tsxhpc/internal/runopts"
 )
 
@@ -177,6 +178,10 @@ type options struct {
 	benchPath  string
 	cpuProfile string
 	timeout    time.Duration
+
+	// wrapStore, when set, wraps the store Setup opens before any cell is
+	// submitted; tests record a run's store traffic through it.
+	wrapStore func(runner.Store) runner.Store
 }
 
 // register binds every reproduce flag to o.
@@ -245,6 +250,9 @@ func run(o options, stdout, stderr io.Writer) int {
 	// opened under the resulting model fingerprint.
 	suite, store, cleanup := o.Setup(stderr)
 	defer cleanup()
+	if store != nil && o.wrapStore != nil {
+		suite.E.SetStore(o.wrapStore(store))
+	}
 	o.Banner(stdout)
 
 	selected := parseOnly(o.only)

@@ -7,11 +7,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"tsxhpc/internal/experiments"
+	"tsxhpc/internal/runner"
 	"tsxhpc/internal/runopts"
 )
 
@@ -158,18 +161,20 @@ func TestRunWarmColdFullCatalog(t *testing.T) {
 	}
 	cache := t.TempDir()
 	bench := filepath.Join(t.TempDir(), "bench.json")
-	do := func() (string, benchReport) {
+	do := func(wrap func(runner.Store) runner.Store) (string, benchReport) {
 		var out, errOut strings.Builder
-		if code := run(options{Options: runopts.Options{Cache: cache}, benchPath: bench}, &out, &errOut); code != 0 {
+		if code := run(options{Options: runopts.Options{Cache: cache}, benchPath: bench, wrapStore: wrap}, &out, &errOut); code != 0 {
 			t.Fatalf("exit = %d, stderr: %s", code, errOut.String())
 		}
 		return out.String(), readBench(t, bench)
 	}
-	coldOut, coldRep := do()
+	keys := &keyRecorder{seen: map[runner.Key]bool{}}
+	coldOut, coldRep := do(func(s runner.Store) runner.Store { keys.Store = s; return keys })
 	if coldRep.CacheHits != 0 || coldRep.JobsExecuted == 0 {
 		t.Fatalf("cold run report = %+v, want 0 hits and >0 executed", coldRep)
 	}
-	warmOut, warmRep := do()
+	checkCellKeys(t, keys.sorted())
+	warmOut, warmRep := do(nil)
 	if stripFooter(t, coldOut) != stripFooter(t, warmOut) {
 		t.Fatal("warm stdout differs from cold stdout")
 	}
@@ -203,6 +208,59 @@ func TestRunWarmColdFullCatalog(t *testing.T) {
 		if c.Outcome == experiments.Fails {
 			t.Errorf("claim %s fails: %s\n%s", c.ID, c.Target, c.Detail)
 		}
+	}
+}
+
+// keyRecorder is a runner.Store that records every key a run loads.
+type keyRecorder struct {
+	runner.Store
+	mu   sync.Mutex
+	seen map[runner.Key]bool
+}
+
+func (r *keyRecorder) Load(key runner.Key, out any) runner.LoadStatus {
+	r.mu.Lock()
+	r.seen[key] = true
+	r.mu.Unlock()
+	return r.Store.Load(key, out)
+}
+
+func (r *keyRecorder) sorted() []string {
+	keys := make([]string, 0, len(r.seen))
+	for k := range r.seen {
+		keys = append(keys, string(k))
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// cellKeysGolden is the sorted set of cell keys a cold full catalog
+// submits, one a line. Keys name cells in the store's log, in quarantine
+// lists and in -poison prefixes, so no change may rename one by accident.
+const cellKeysGolden = "testdata/cellkeys.golden"
+
+// checkCellKeys compares keys with the golden and names each key only one
+// side holds.
+func checkCellKeys(t *testing.T, keys []string) {
+	t.Helper()
+	got := strings.Join(keys, "\n") + "\n"
+	want, err := os.ReadFile(cellKeysGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		wantKeys := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+		for _, k := range keys {
+			if !slices.Contains(wantKeys, k) {
+				t.Errorf("cell key %q is not in %s", k, cellKeysGolden)
+			}
+		}
+		for _, k := range wantKeys {
+			if !slices.Contains(keys, k) {
+				t.Errorf("cell key %q of %s was not submitted", k, cellKeysGolden)
+			}
+		}
+		t.Fatalf("the catalog's cell keys (%d) differ from %s (%d)", len(keys), cellKeysGolden, len(wantKeys))
 	}
 }
 
