@@ -20,6 +20,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"tsxhpc/internal/apps"
 	"tsxhpc/internal/clomp"
@@ -128,31 +129,31 @@ type (
 )
 
 func (s *Suite) stampCell(k stampKey) runner.Future[stamp.Result] {
-	key := runner.Key(fmt.Sprintf("stamp/%s/%s/%dT", k.name, k.mode, k.threads))
+	key := runner.Key("stamp/" + k.name + "/" + k.mode.String() + "/" + strconv.Itoa(k.threads) + "T")
 	return runner.Submit(s.E, key, func() (stamp.Result, error) { return stamp.Execute(k.name, k.mode, k.threads) })
 }
 
 func (s *Suite) rmstmCell(k rmsKey) runner.Future[rmstm.Result] {
-	key := runner.Key(fmt.Sprintf("rmstm/%s/%s/%dT/locks%d", k.name, k.scheme, k.threads, rmstm.DefaultLocks))
+	key := runner.Key("rmstm/" + k.name + "/" + k.scheme.String() + "/" + strconv.Itoa(k.threads) + "T/locks" + strconv.Itoa(rmstm.DefaultLocks))
 	return runner.Submit(s.E, key, func() (rmstm.Result, error) {
 		return rmstm.Execute(k.name, k.scheme, k.threads, rmstm.DefaultLocks)
 	})
 }
 
 func (s *Suite) appsCell(k appKey) runner.Future[apps.Result] {
-	key := runner.Key(fmt.Sprintf("apps/%s/%s/%dT", k.name, k.variant, k.threads))
+	key := runner.Key("apps/" + k.name + "/" + k.variant + "/" + strconv.Itoa(k.threads) + "T")
 	return runner.Submit(s.E, key, func() (apps.Result, error) { return apps.Run(k.name, k.variant, k.threads) })
 }
 
 func (s *Suite) netCell(k netKey) runner.Future[netapps.Result] {
-	key := runner.Key(fmt.Sprintf("net/%s/%s", k.name, k.mode))
+	key := runner.Key("net/" + k.name + "/" + k.mode.String())
 	return runner.Submit(s.E, key, func() (netapps.Result, error) { return netapps.Run(k.name, k.mode) })
 }
 
 // clompCell runs one Figure 1 cell: the paper's CLOMP-TM configuration with
 // the given scatter count, Hyper-Threading disabled.
 func (s *Suite) clompCell(k clompKey) runner.Future[clomp.Result] {
-	key := runner.Key(fmt.Sprintf("clomp/sc%d/%s/%dT", k.scatters, k.scheme, k.threads))
+	key := runner.Key("clomp/sc" + strconv.Itoa(k.scatters) + "/" + k.scheme.String() + "/" + strconv.Itoa(k.threads) + "T")
 	return runner.Submit(s.E, key, func() (clomp.Result, error) {
 		cfg := clomp.DefaultConfig()
 		cfg.Scatters = k.scatters
@@ -166,7 +167,7 @@ func (s *Suite) clompCell(k clompKey) runner.Future[clomp.Result] {
 // scaleCell runs one cell of the A6 scaling grid: one (module, cores,
 // clients) execution of the packet-streaming workload on its own machine.
 func (s *Suite) scaleCell(k scaleKey) runner.Future[netapps.ScaleResult] {
-	key := runner.Key(fmt.Sprintf("scale/%s/%dC/%d", k.mod.Name, k.cores, k.clients))
+	key := runner.Key("scale/" + k.mod.Name + "/" + strconv.Itoa(k.cores) + "C/" + strconv.Itoa(k.clients))
 	return runner.Submit(s.E, key, func() (netapps.ScaleResult, error) { return netapps.RunScale(k.cores, k.clients, k.mod) })
 }
 
@@ -217,11 +218,12 @@ func (s *Suite) Figure1() (*harness.Figure, error) {
 		return nil, err
 	}
 	fig := &harness.Figure{
-		Title:  "Figure 1 — CLOMP-TM, 4 threads: speedup vs serial",
-		XLabel: "scatters/zone",
+		Title:     "Figure 1 — CLOMP-TM, 4 threads: speedup vs serial",
+		XLabel:    "scatters/zone",
+		YDecimals: 2,
 	}
 	for _, sc := range figure1Scatters {
-		fig.XTicks = append(fig.XTicks, fmt.Sprint(sc))
+		fig.XTicks = append(fig.XTicks, strconv.Itoa(sc))
 	}
 	for _, sch := range clomp.Schemes {
 		series := harness.Series{Name: sch.String()}
@@ -265,7 +267,7 @@ func (s *Suite) Figure2() (*harness.Table, error) {
 	return threadTable("Figure 2 — STAMP execution time normalized to sgl@1T (lower is better)", stamp.Names(), figure2Modes,
 		func(name string, mo tm.Mode, th int) string {
 			ref := cells[stampKey{name, tm.SGL, 1}].Cycles
-			return fmt.Sprintf("%.2f", float64(cells[stampKey{name, mo, th}].Cycles)/float64(ref))
+			return strconv.FormatFloat(float64(cells[stampKey{name, mo, th}].Cycles)/float64(ref), 'f', 2, 64)
 		}), nil
 }
 
@@ -287,7 +289,7 @@ func (s *Suite) Table1() (*harness.Table, error) {
 		row := []string{name}
 		for _, th := range Threads {
 			for _, mo := range []tm.Mode{tm.TL2, tm.TSX} {
-				row = append(row, fmt.Sprintf("%.0f", cells[stampKey{name, mo, th}].AbortRate))
+				row = append(row, strconv.FormatFloat(cells[stampKey{name, mo, th}].AbortRate, 'f', 0, 64))
 			}
 		}
 		t.Rows = append(t.Rows, row)
@@ -319,7 +321,7 @@ func (s *Suite) Figure3() (*harness.Table, error) {
 	}
 	return threadTable("Figure 3 — RMS-TM speedup vs fgl@1T", rmstm.Names(), rmstm.Schemes,
 		func(name string, sc rmstm.Scheme, th int) string {
-			return fmt.Sprintf("%.2f", harness.Speedup(cells[rmsKey{name, rmstm.FGL, 1}].Cycles, cells[rmsKey{name, sc, th}].Cycles))
+			return strconv.FormatFloat(harness.Speedup(cells[rmsKey{name, rmstm.FGL, 1}].Cycles, cells[rmsKey{name, sc, th}].Cycles), 'f', 2, 64)
 		}), nil
 }
 
@@ -349,7 +351,7 @@ func (s *Suite) Figure4() (*harness.Table, float64, error) {
 	}
 	t := threadTable("Figure 4 — real-world workloads: speedup vs baseline@1T", apps.Names(), apps.FigureVariants,
 		func(name, v string, th int) string {
-			return fmt.Sprintf("%.2f", harness.Speedup(cells[appKey{name, "baseline", 1}].Cycles, cells[appKey{name, v, th}].Cycles))
+			return strconv.FormatFloat(harness.Speedup(cells[appKey{name, "baseline", 1}].Cycles, cells[appKey{name, v, th}].Cycles), 'f', 2, 64)
 		})
 	return t, coarsenGeomean8T(cells), nil
 }
@@ -389,9 +391,9 @@ func (s *Suite) figure5(workload, title string, variants []string) (*harness.Fig
 		return nil, err
 	}
 	ref := cells[appKey{workload, "baseline", 1}].Cycles
-	fig := &harness.Figure{Title: title, XLabel: "threads"}
+	fig := &harness.Figure{Title: title, XLabel: "threads", YDecimals: 2}
 	for _, th := range Threads {
-		fig.XTicks = append(fig.XTicks, fmt.Sprint(th))
+		fig.XTicks = append(fig.XTicks, strconv.Itoa(th))
 	}
 	for _, v := range variants {
 		series := harness.Series{Name: v}
@@ -440,7 +442,7 @@ func (s *Suite) Figure6() (*harness.Table, float64, error) {
 	for _, name := range netapps.Names() {
 		row := []string{name}
 		for _, mo := range netapps.Modes {
-			row = append(row, fmt.Sprintf("%.2f", vsMutex(cells, name, mo)))
+			row = append(row, strconv.FormatFloat(vsMutex(cells, name, mo), 'f', 2, 64))
 		}
 		gains = append(gains, vsMutex(cells, name, core.ModeTSXBusyWait))
 		t.Rows = append(t.Rows, row)
@@ -462,13 +464,13 @@ func (s *Suite) RetrySweep(budgets []int) (*harness.Figure, error) {
 		return nil, err
 	}
 	fig := &harness.Figure{
-		Title:   "Retry policy — contended-workload cycles vs max retries (Section 3)",
-		XLabel:  "max retries",
-		YFormat: "%.0f",
+		Title:     "Retry policy — contended-workload cycles vs max retries (Section 3)",
+		XLabel:    "max retries",
+		YDecimals: 0,
 	}
 	series := harness.Series{Name: "kilocycles"}
 	for _, b := range budgets {
-		fig.XTicks = append(fig.XTicks, fmt.Sprint(b))
+		fig.XTicks = append(fig.XTicks, strconv.Itoa(b))
 		series.Y = append(series.Y, float64(cells[b].Cycles)/1000)
 	}
 	fig.Series = append(fig.Series, series)
@@ -477,7 +479,7 @@ func (s *Suite) RetrySweep(budgets []int) (*harness.Figure, error) {
 
 // retryCell runs RetrySweep's contended mix under one retry budget.
 func (s *Suite) retryCell(budget int) runner.Future[simCell] {
-	key := runner.Key(fmt.Sprintf("retry/%d", budget))
+	key := runner.Key("retry/" + strconv.Itoa(budget))
 	return runner.Submit(s.E, key, func() (simCell, error) {
 		m := sim.New(sim.DefaultConfig())
 		sys := tm.NewSystem(m, tm.TSX)
@@ -508,7 +510,7 @@ func (s *Suite) retryCell(budget int) runner.Future[simCell] {
 // per-thread L1 capacity halves and abort rates jump.
 func (s *Suite) HTCapacityAblation() (*harness.Table, error) {
 	cells, err := collect(Threads, func(th int) runner.Future[simCell] {
-		return runner.Submit(s.E, runner.Key(fmt.Sprintf("htcap/%dT", th)), func() (simCell, error) {
+		return runner.Submit(s.E, runner.Key("htcap/"+strconv.Itoa(th)+"T"), func() (simCell, error) {
 			m := sim.New(sim.DefaultConfig())
 			sys := tm.NewSystem(m, tm.TSX)
 			region := m.Mem.AllocLine(64 * 1024) // 64 KB shared region
@@ -536,7 +538,7 @@ func (s *Suite) HTCapacityAblation() (*harness.Table, error) {
 		Head:  []string{"threads", "abort %"},
 	}
 	for _, th := range Threads {
-		t.Rows = append(t.Rows, []string{fmt.Sprint(th), fmt.Sprintf("%.0f", cells[th].Value)})
+		t.Rows = append(t.Rows, []string{strconv.Itoa(th), strconv.FormatFloat(cells[th].Value, 'f', 0, 64)})
 	}
 	return t, nil
 }
@@ -547,7 +549,7 @@ func (s *Suite) HTCapacityAblation() (*harness.Table, error) {
 func (s *Suite) ConflictWiringAblation() (*harness.Figure, error) {
 	pcts := []int{0, 10, 25, 50, 80}
 	cells, err := collect(pcts, func(pct int) runner.Future[clomp.Result] {
-		return runner.Submit(s.E, runner.Key(fmt.Sprintf("clomp/cross%d", pct)), func() (clomp.Result, error) {
+		return runner.Submit(s.E, runner.Key("clomp/cross"+strconv.Itoa(pct)), func() (clomp.Result, error) {
 			cfg := clomp.DefaultConfig()
 			cfg.CrossPartitionPct = pct
 			cfg.Scatters = 6
@@ -561,13 +563,13 @@ func (s *Suite) ConflictWiringAblation() (*harness.Figure, error) {
 		return nil, err
 	}
 	fig := &harness.Figure{
-		Title:   "CLOMP-TM conflict knob — Large TM abort rate vs cross-partition wiring",
-		XLabel:  "cross%",
-		YFormat: "%.1f",
+		Title:     "CLOMP-TM conflict knob — Large TM abort rate vs cross-partition wiring",
+		XLabel:    "cross%",
+		YDecimals: 1,
 	}
 	series := harness.Series{Name: "abort %"}
 	for _, pct := range pcts {
-		fig.XTicks = append(fig.XTicks, fmt.Sprint(pct))
+		fig.XTicks = append(fig.XTicks, strconv.Itoa(pct))
 		series.Y = append(series.Y, cells[pct].AbortRate)
 	}
 	fig.Series = append(fig.Series, series)
@@ -586,7 +588,7 @@ func (s *Suite) AdaptiveCoarseningAblation() (*harness.Table, error) {
 		gran     int
 	}
 	kernel := func(k kernelKey) runner.Future[simCell] {
-		key := runner.Key(fmt.Sprintf("adaptive/%dT/adaptive=%t/gran%d", k.threads, k.adaptive, k.gran))
+		key := runner.Key("adaptive/" + strconv.Itoa(k.threads) + "T/adaptive=" + strconv.FormatBool(k.adaptive) + "/gran" + strconv.Itoa(k.gran))
 		return runner.Submit(s.E, key, func() (simCell, error) {
 			m := sim.New(sim.DefaultConfig())
 			sys := tm.NewSystem(m, tm.TSX)
@@ -627,9 +629,9 @@ func (s *Suite) AdaptiveCoarseningAblation() (*harness.Table, error) {
 		Head:  []string{"threads", "gran1", "gran8", "gran32", "adaptive"},
 	}
 	for i, th := range threadCounts {
-		row := []string{fmt.Sprint(th)}
+		row := []string{strconv.Itoa(th)}
 		for _, k := range keys[4*i : 4*i+4] {
-			row = append(row, fmt.Sprintf("%d", cells[k].Cycles/1000))
+			row = append(row, strconv.FormatUint(cells[k].Cycles/1000, 10))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -683,8 +685,8 @@ func (s *Suite) LocksetAblation() (*harness.Table, error) {
 		Title: "Lockset elision ablation — cycles per pair-locked critical section",
 		Head:  []string{"scheme", "cycles/op"},
 		Rows: [][]string{
-			{"two locks", fmt.Sprintf("%.0f", float64(cells["pair"].Cycles)/ops)},
-			{"lockset elision", fmt.Sprintf("%.0f", float64(cells["elision"].Cycles)/ops)},
+			{"two locks", strconv.FormatFloat(float64(cells["pair"].Cycles)/ops, 'f', 0, 64)},
+			{"lockset elision", strconv.FormatFloat(float64(cells["elision"].Cycles)/ops, 'f', 0, 64)},
 		},
 	}, nil
 }
@@ -745,9 +747,9 @@ func (s *Suite) ScalingCurve() (*harness.Table, *harness.Table, error) {
 		Head:  []string{"module"},
 	}
 	for _, clients := range scaleClientAxis {
-		clientsT.Head = append(clientsT.Head, fmt.Sprint(clients))
+		clientsT.Head = append(clientsT.Head, strconv.Itoa(clients))
 	}
-	bw := func(k scaleKey) string { return fmt.Sprintf("%.1f", cells[k].Bandwidth()) }
+	bw := func(k scaleKey) string { return strconv.FormatFloat(cells[k].Bandwidth(), 'f', 1, 64) }
 	for _, mod := range netapps.ScaleModules {
 		coreRow, clientRow := []string{mod.Name}, []string{mod.Name}
 		for _, cores := range scaleCoreAxis {
@@ -797,7 +799,7 @@ type modelKey struct{ model, layout string }
 // aborts depend only on the 24-line footprint. The hot line supplies the
 // conflicts that separate requester-wins from requester-loses.
 func (s *Suite) modelCell(k modelKey) runner.Future[modelAnatomyCell] {
-	key := runner.Key(fmt.Sprintf("modelanatomy/%s/%s", k.model, k.layout))
+	key := runner.Key("modelanatomy/" + k.model + "/" + k.layout)
 	return runner.Submit(s.E, key, func() (modelAnatomyCell, error) {
 		cfg := sim.DefaultConfig()
 		cfg.HTMModel = k.model
@@ -871,12 +873,12 @@ func (s *Suite) ModelAnatomy() (*harness.Table, error) {
 		r := cells[k]
 		t.Rows = append(t.Rows, []string{
 			k.model, k.layout,
-			fmt.Sprintf("%d", r.Commits),
-			fmt.Sprintf("%d", r.Aborts[htm.Conflict]),
-			fmt.Sprintf("%d", r.Aborts[htm.Capacity]),
-			fmt.Sprintf("%d", r.Aborts[htm.LockBusy]),
-			fmt.Sprintf("%d", r.Aborts[htm.Spurious]),
-			fmt.Sprintf("%d", r.Fallbacks),
+			strconv.FormatUint(r.Commits, 10),
+			strconv.FormatUint(r.Aborts[htm.Conflict], 10),
+			strconv.FormatUint(r.Aborts[htm.Capacity], 10),
+			strconv.FormatUint(r.Aborts[htm.LockBusy], 10),
+			strconv.FormatUint(r.Aborts[htm.Spurious], 10),
+			strconv.FormatUint(r.Fallbacks, 10),
 		})
 	}
 	return t, nil
@@ -892,7 +894,7 @@ var anatomyWorkloads = []string{"intruder", "kmeans", "vacation"}
 // rides inside the memoized (and persistently cached) result, so the report
 // is byte-identical at any host parallelism and on warm-cache runs.
 func (s *Suite) anatomyCell(k stampKey) runner.Future[stamp.ProbedResult] {
-	key := runner.Key(fmt.Sprintf("anatomy/%s/%s/%dT", k.name, k.mode, k.threads))
+	key := runner.Key("anatomy/" + k.name + "/" + k.mode.String() + "/" + strconv.Itoa(k.threads) + "T")
 	return runner.Submit(s.E, key, func() (stamp.ProbedResult, error) {
 		return stamp.ExecuteProbed(k.name, k.mode, k.threads)
 	})
@@ -927,11 +929,11 @@ func (s *Suite) AbortAnatomy() (string, error) {
 		sn := cells[stampKey{wl, tm.TSX, th}].Probes
 		row := []string{wl}
 		for _, cause := range []string{"conflict", "capacity", "lock-busy", "syscall", "explicit", "spurious"} {
-			row = append(row, fmt.Sprintf("%d", sn.Counter("htm/abort/"+cause)))
+			row = append(row, strconv.FormatUint(sn.Counter("htm/abort/"+cause), 10))
 		}
-		row = append(row, fmt.Sprintf("%d", sn.Counter("tsx/site/global/fallbacks")))
+		row = append(row, strconv.FormatUint(sn.Counter("tsx/site/global/fallbacks"), 10))
 		tries, _ := sn.Hist("tsx/site/global/attempts")
-		row = append(row, fmt.Sprintf("%.2f", tries.Mean()))
+		row = append(row, strconv.FormatFloat(tries.Mean(), 'f', 2, 64))
 		tsxT.Rows = append(tsxT.Rows, row)
 	}
 
@@ -945,11 +947,11 @@ func (s *Suite) AbortAnatomy() (string, error) {
 		lag, _ := sn.Hist("tl2/gv/lag")
 		tl2T.Rows = append(tl2T.Rows, []string{
 			wl,
-			fmt.Sprintf("%d", sn.Counter("tl2/abort/read-validate")),
-			fmt.Sprintf("%d", sn.Counter("tl2/abort/lock-busy")),
-			fmt.Sprintf("%d", sn.Counter("tl2/abort/commit-validate")),
-			fmt.Sprintf("%d", sn.Counter("tl2/gv/advances")),
-			fmt.Sprintf("%.2f", lag.Mean()),
+			strconv.FormatUint(sn.Counter("tl2/abort/read-validate"), 10),
+			strconv.FormatUint(sn.Counter("tl2/abort/lock-busy"), 10),
+			strconv.FormatUint(sn.Counter("tl2/abort/commit-validate"), 10),
+			strconv.FormatUint(sn.Counter("tl2/gv/advances"), 10),
+			strconv.FormatFloat(lag.Mean(), 'f', 2, 64),
 		})
 	}
 
@@ -962,17 +964,19 @@ func (s *Suite) AbortAnatomy() (string, error) {
 	}
 	for _, k := range keys {
 		sn := cells[k].Probes
+		var phases [sim.NumPhases]uint64
 		var total uint64
-		for p := 0; p < sim.NumPhases; p++ {
-			total += sn.Counter(fmt.Sprintf("vt/%s/%s", k.mode, sim.Phase(p)))
+		for p := range phases {
+			phases[p] = sn.Counter("vt/" + k.mode.String() + "/" + sim.Phase(p).String())
+			total += phases[p]
 		}
 		row := []string{k.name + "/" + k.mode.String()}
-		for p := 0; p < sim.NumPhases; p++ {
+		for _, cycles := range phases {
 			pct := 0.0
 			if total > 0 {
-				pct = 100 * float64(sn.Counter(fmt.Sprintf("vt/%s/%s", k.mode, sim.Phase(p)))) / float64(total)
+				pct = 100 * float64(cycles) / float64(total)
 			}
-			row = append(row, fmt.Sprintf("%.1f", pct))
+			row = append(row, strconv.FormatFloat(pct, 'f', 1, 64))
 		}
 		vtT.Rows = append(vtT.Rows, row)
 	}

@@ -78,8 +78,9 @@ func planFor(t reflect.Type) (*plan, error) {
 }
 
 // decode decodes payload into a fresh value of the plan's type. ok is false
-// unless payload is exactly one well-formed encoding.
-func (p *plan) decode(payload []byte) (v reflect.Value, ok bool) {
+// unless payload is exactly one well-formed encoding. A decoded string is a
+// substring of payload, not a copy.
+func (p *plan) decode(payload string) (v reflect.Value, ok bool) {
 	v = reflect.New(p.typ).Elem()
 	r := reader{buf: payload}
 	p.dec(&r, v)
@@ -143,8 +144,8 @@ func compile(t reflect.Type, open map[reflect.Type]bool) (*coder, error) {
 				return binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(v.Float())))
 			},
 			dec: func(r *reader, v reflect.Value) {
-				if b := r.bytes(4); b != nil {
-					v.SetFloat(float64(math.Float32frombits(binary.LittleEndian.Uint32(b))))
+				if b, ok := r.bytes(4); ok {
+					v.SetFloat(float64(math.Float32frombits(le32(b))))
 				}
 			},
 		}, nil
@@ -154,8 +155,8 @@ func compile(t reflect.Type, open map[reflect.Type]bool) (*coder, error) {
 				return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
 			},
 			dec: func(r *reader, v reflect.Value) {
-				if b := r.bytes(8); b != nil {
-					v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+				if b, ok := r.bytes(8); ok {
+					v.SetFloat(math.Float64frombits(le64(b)))
 				}
 			},
 		}, nil
@@ -165,7 +166,10 @@ func compile(t reflect.Type, open map[reflect.Type]bool) (*coder, error) {
 				b = binary.AppendUvarint(b, uint64(v.Len()))
 				return append(b, v.String()...)
 			},
-			dec: func(r *reader, v reflect.Value) { v.SetString(string(r.bytes(r.uvarint()))) },
+			dec: func(r *reader, v reflect.Value) {
+				b, _ := r.bytes(r.uvarint())
+				v.SetString(b)
+			},
 		}, nil
 	case reflect.Array:
 		elem, err := compile(t.Elem(), open)
@@ -311,13 +315,14 @@ func compile(t reflect.Type, open map[reflect.Type]bool) (*coder, error) {
 
 // reader consumes an encoded payload. Every read is bounds-checked against
 // the bytes remaining; the first failure marks the reader bad and empties
-// it, so later reads fail fast and decoders need not check each step.
+// it, so later reads fail fast and decoders need not check each step. It
+// reads a string, so the strings it returns share the payload's bytes.
 type reader struct {
-	buf []byte
+	buf string
 	bad bool
 }
 
-func (r *reader) fail() { r.bad, r.buf = true, nil }
+func (r *reader) fail() { r.bad, r.buf = true, "" }
 
 func (r *reader) byte() byte {
 	if len(r.buf) == 0 {
@@ -329,36 +334,58 @@ func (r *reader) byte() byte {
 	return c
 }
 
-// bytes returns the next n bytes, or nil after marking the reader bad when
-// fewer remain.
-func (r *reader) bytes(n uint64) []byte {
+// bytes returns the next n bytes, or marks the reader bad when fewer
+// remain.
+func (r *reader) bytes(n uint64) (string, bool) {
 	if n > uint64(len(r.buf)) {
 		r.fail()
-		return nil
+		return "", false
 	}
-	b := r.buf[:n:n]
+	b := r.buf[:n]
 	r.buf = r.buf[n:]
-	return b
+	return b, true
 }
 
+// uvarint reads a varint as binary.Uvarint would from the same bytes.
 func (r *reader) uvarint() uint64 {
-	x, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail()
-		return 0
+	var x uint64
+	var shift uint
+	for i := 0; i < len(r.buf) && i < binary.MaxVarintLen64; i++ {
+		c := r.buf[i]
+		if c < 0x80 {
+			if i == binary.MaxVarintLen64-1 && c > 1 {
+				break // overflows 64 bits
+			}
+			r.buf = r.buf[i+1:]
+			return x | uint64(c)<<shift
+		}
+		x |= uint64(c&0x7f) << shift
+		shift += 7
 	}
-	r.buf = r.buf[n:]
+	r.fail()
+	return 0
+}
+
+// varint reads a zigzag varint as binary.Varint would from the same bytes.
+func (r *reader) varint() int64 {
+	ux := r.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
 	return x
 }
 
-func (r *reader) varint() int64 {
-	x, n := binary.Varint(r.buf)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return x
+// le32 and le64 read little-endian integers from the start of b.
+func le32(b string) uint32 {
+	_ = b[3]
+	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+}
+
+func le64(b string) uint64 {
+	_ = b[7]
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
 // count reads a slice or map header whose elements encode to at least min

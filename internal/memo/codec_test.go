@@ -2,6 +2,7 @@ package memo
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -72,7 +73,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, p := range []*plan{probed, counts} {
-			v, ok := p.decode(data)
+			v, ok := p.decode(string(data))
 			if !ok {
 				continue
 			}
@@ -80,7 +81,7 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("%s: a slice or map outgrew its %d-byte payload", p.typ, len(data))
 			}
 			again := encode(p, v)
-			w, ok := p.decode(again)
+			w, ok := p.decode(string(again))
 			if !ok {
 				t.Fatalf("%s: re-encoding of an accepted payload does not decode", p.typ)
 			}
@@ -130,7 +131,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"array cut short", [3]uint64{}, []byte{1, 2}},
 	}
 	for _, c := range cases {
-		if _, ok := mustPlan(t, c.v).decode(c.payload); ok {
+		if _, ok := mustPlan(t, c.v).decode(string(c.payload)); ok {
 			t.Errorf("%s: payload %x accepted", c.name, c.payload)
 		}
 	}
@@ -139,11 +140,13 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 // TestDecodeRejectsOversizedCounts: a count header the remaining bytes
 // cannot hold is refused before anything is allocated for it.
 func TestDecodeRejectsOversizedCounts(t *testing.T) {
-	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3}
+	// The payloads are strings before the measured closures start, so
+	// the counts below are the decoder's alone.
+	huge, null := string([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 2, 3}), string([]byte{0})
 	for _, v := range []any{[]probe.HistVal(nil), map[string]int(nil)} {
 		p := mustPlan(t, v)
 		// Decoding a nil allocates only the decoder's fixed overhead.
-		base := testing.AllocsPerRun(20, func() { p.decode([]byte{0}) })
+		base := testing.AllocsPerRun(20, func() { p.decode(null) })
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, ok := p.decode(huge); ok {
 				t.Fatalf("%s: oversized count accepted", p.typ)
@@ -151,6 +154,33 @@ func TestDecodeRejectsOversizedCounts(t *testing.T) {
 		})
 		if allocs > base {
 			t.Errorf("%s: refusing an oversized count took %.0f allocs, decoding nil %.0f", p.typ, allocs, base)
+		}
+	}
+}
+
+// TestReaderVarintsMatchBinary: the reader's varints read what
+// encoding/binary reads from the same bytes, and fail where it fails: on
+// every prefix of the encodings of edge values, on eleven continuation
+// bytes, and on a tenth byte that overflows 64 bits.
+func TestReaderVarintsMatchBinary(t *testing.T) {
+	inputs := [][]byte{nil, bytes.Repeat([]byte{0xff}, 11), append(bytes.Repeat([]byte{0xff}, 9), 2)}
+	for _, x := range []uint64{0, 1, 127, 128, 300, math.MaxUint32, math.MaxInt64, math.MaxUint64} {
+		enc := binary.AppendUvarint(nil, x)
+		for i := range enc {
+			inputs = append(inputs, enc[:i+1])
+		}
+		inputs = append(inputs, append(enc, 7))
+	}
+	for _, in := range inputs {
+		ux, un := binary.Uvarint(in)
+		r := reader{buf: string(in)}
+		if got := r.uvarint(); r.bad != (un <= 0) || !r.bad && (got != ux || len(r.buf) != len(in)-un) {
+			t.Errorf("uvarint(%x) = %d, %d bytes left, bad %v; binary.Uvarint = %d, %d read", in, got, len(r.buf), r.bad, ux, un)
+		}
+		x, n := binary.Varint(in)
+		r = reader{buf: string(in)}
+		if got := r.varint(); r.bad != (n <= 0) || !r.bad && (got != x || len(r.buf) != len(in)-n) {
+			t.Errorf("varint(%x) = %d, %d bytes left, bad %v; binary.Varint = %d, %d read", in, got, len(r.buf), r.bad, x, n)
 		}
 	}
 }

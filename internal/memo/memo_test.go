@@ -748,6 +748,73 @@ func TestLoadAllocs(t *testing.T) {
 	}
 }
 
+// hitCell has every field kind whose decode could allocate per element:
+// strings, a slice of strings and a map keyed by strings.
+type hitCell struct {
+	Name   string
+	Sites  []string
+	Counts map[string]uint64
+	Cycles uint64
+}
+
+// hitSample returns a hitCell naming n sites.
+func hitSample(n int) hitCell {
+	c := hitCell{Name: "anatomy/intruder/tsx/8T", Counts: map[string]uint64{"htm/abort/conflict": 12, "tsx/site/global/fallbacks": 3}, Cycles: 1 << 33}
+	for i := 0; i < n; i++ {
+		c.Sites = append(c.Sites, fmt.Sprintf("tsx/site/%d", i))
+	}
+	return c
+}
+
+// TestLoadHitAllocs: a hit's strings share the bytes of the log, so a
+// decode allocates for the fresh value, the slice and the map, and nothing
+// per string: a record naming 64 sites costs what one naming 4 costs. The
+// ceiling is the count when strings became views (the copying decoder
+// took 15 and 75).
+func TestLoadHitAllocs(t *testing.T) {
+	s := openTest(t)
+	allocs := func(n int) float64 {
+		key := runner.Key(fmt.Sprintf("sites/%d", n))
+		in := hitSample(n)
+		if err := s.Save(key, in); err != nil {
+			t.Fatal(err)
+		}
+		var out hitCell
+		if s.Load(key, &out) != runner.StoreHit || !reflect.DeepEqual(out, in) {
+			t.Fatalf("%s: Load = %+v, saved %+v", key, out, in)
+		}
+		return testing.AllocsPerRun(50, func() { s.Load(key, &out) })
+	}
+	few, many := allocs(4), allocs(64)
+	if many != few {
+		t.Errorf("Load of 64 strings = %.0f allocs, of 4 strings %.0f: a string field allocates", many, few)
+	}
+	const ceiling = 8
+	if few > ceiling {
+		t.Errorf("Load = %.0f allocs/op, want <= %d", few, ceiling)
+	}
+}
+
+// BenchmarkLoadHit is one warm hit on an indexed record, with no
+// simulation in its set-up.
+func BenchmarkLoadHit(b *testing.B) {
+	s, err := OpenAt(b.TempDir(), "benchfp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Save("sites/16", hitSample(16)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var out hitCell
+		if s.Load("sites/16", &out) != runner.StoreHit {
+			b.Fatal("Load missed")
+		}
+	}
+}
+
 // probedSample is a real probed STAMP cell, the largest entry the catalog
 // stores.
 func probedSample(tb testing.TB) stamp.ProbedResult {
