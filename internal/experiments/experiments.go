@@ -267,7 +267,7 @@ func (s *Suite) Figure2() (*harness.Table, error) {
 	return threadTable("Figure 2 — STAMP execution time normalized to sgl@1T (lower is better)", stamp.Names(), figure2Modes,
 		func(name string, mo tm.Mode, th int) string {
 			ref := cells[stampKey{name, tm.SGL, 1}].Cycles
-			return strconv.FormatFloat(float64(cells[stampKey{name, mo, th}].Cycles)/float64(ref), 'f', 2, 64)
+			return harness.FormatFixed(float64(cells[stampKey{name, mo, th}].Cycles)/float64(ref), 2)
 		}), nil
 }
 
@@ -289,7 +289,7 @@ func (s *Suite) Table1() (*harness.Table, error) {
 		row := []string{name}
 		for _, th := range Threads {
 			for _, mo := range []tm.Mode{tm.TL2, tm.TSX} {
-				row = append(row, strconv.FormatFloat(cells[stampKey{name, mo, th}].AbortRate, 'f', 0, 64))
+				row = append(row, harness.FormatFixed(cells[stampKey{name, mo, th}].AbortRate, 0))
 			}
 		}
 		t.Rows = append(t.Rows, row)
@@ -321,7 +321,7 @@ func (s *Suite) Figure3() (*harness.Table, error) {
 	}
 	return threadTable("Figure 3 — RMS-TM speedup vs fgl@1T", rmstm.Names(), rmstm.Schemes,
 		func(name string, sc rmstm.Scheme, th int) string {
-			return strconv.FormatFloat(harness.Speedup(cells[rmsKey{name, rmstm.FGL, 1}].Cycles, cells[rmsKey{name, sc, th}].Cycles), 'f', 2, 64)
+			return harness.FormatFixed(harness.Speedup(cells[rmsKey{name, rmstm.FGL, 1}].Cycles, cells[rmsKey{name, sc, th}].Cycles), 2)
 		}), nil
 }
 
@@ -351,7 +351,7 @@ func (s *Suite) Figure4() (*harness.Table, float64, error) {
 	}
 	t := threadTable("Figure 4 — real-world workloads: speedup vs baseline@1T", apps.Names(), apps.FigureVariants,
 		func(name, v string, th int) string {
-			return strconv.FormatFloat(harness.Speedup(cells[appKey{name, "baseline", 1}].Cycles, cells[appKey{name, v, th}].Cycles), 'f', 2, 64)
+			return harness.FormatFixed(harness.Speedup(cells[appKey{name, "baseline", 1}].Cycles, cells[appKey{name, v, th}].Cycles), 2)
 		})
 	return t, coarsenGeomean8T(cells), nil
 }
@@ -442,7 +442,7 @@ func (s *Suite) Figure6() (*harness.Table, float64, error) {
 	for _, name := range netapps.Names() {
 		row := []string{name}
 		for _, mo := range netapps.Modes {
-			row = append(row, strconv.FormatFloat(vsMutex(cells, name, mo), 'f', 2, 64))
+			row = append(row, harness.FormatFixed(vsMutex(cells, name, mo), 2))
 		}
 		gains = append(gains, vsMutex(cells, name, core.ModeTSXBusyWait))
 		t.Rows = append(t.Rows, row)
@@ -538,7 +538,7 @@ func (s *Suite) HTCapacityAblation() (*harness.Table, error) {
 		Head:  []string{"threads", "abort %"},
 	}
 	for _, th := range Threads {
-		t.Rows = append(t.Rows, []string{strconv.Itoa(th), strconv.FormatFloat(cells[th].Value, 'f', 0, 64)})
+		t.Rows = append(t.Rows, []string{strconv.Itoa(th), harness.FormatFixed(cells[th].Value, 0)})
 	}
 	return t, nil
 }
@@ -685,8 +685,8 @@ func (s *Suite) LocksetAblation() (*harness.Table, error) {
 		Title: "Lockset elision ablation — cycles per pair-locked critical section",
 		Head:  []string{"scheme", "cycles/op"},
 		Rows: [][]string{
-			{"two locks", strconv.FormatFloat(float64(cells["pair"].Cycles)/ops, 'f', 0, 64)},
-			{"lockset elision", strconv.FormatFloat(float64(cells["elision"].Cycles)/ops, 'f', 0, 64)},
+			{"two locks", harness.FormatFixed(float64(cells["pair"].Cycles)/ops, 0)},
+			{"lockset elision", harness.FormatFixed(float64(cells["elision"].Cycles)/ops, 0)},
 		},
 	}, nil
 }
@@ -749,7 +749,7 @@ func (s *Suite) ScalingCurve() (*harness.Table, *harness.Table, error) {
 	for _, clients := range scaleClientAxis {
 		clientsT.Head = append(clientsT.Head, strconv.Itoa(clients))
 	}
-	bw := func(k scaleKey) string { return strconv.FormatFloat(cells[k].Bandwidth(), 'f', 1, 64) }
+	bw := func(k scaleKey) string { return harness.FormatFixed(cells[k].Bandwidth(), 1) }
 	for _, mod := range netapps.ScaleModules {
 		coreRow, clientRow := []string{mod.Name}, []string{mod.Name}
 		for _, cores := range scaleCoreAxis {
@@ -933,7 +933,7 @@ func (s *Suite) AbortAnatomy() (string, error) {
 		}
 		row = append(row, strconv.FormatUint(sn.Counter("tsx/site/global/fallbacks"), 10))
 		tries, _ := sn.Hist("tsx/site/global/attempts")
-		row = append(row, strconv.FormatFloat(tries.Mean(), 'f', 2, 64))
+		row = append(row, harness.FormatFixed(tries.Mean(), 2))
 		tsxT.Rows = append(tsxT.Rows, row)
 	}
 
@@ -951,7 +951,7 @@ func (s *Suite) AbortAnatomy() (string, error) {
 			strconv.FormatUint(sn.Counter("tl2/abort/lock-busy"), 10),
 			strconv.FormatUint(sn.Counter("tl2/abort/commit-validate"), 10),
 			strconv.FormatUint(sn.Counter("tl2/gv/advances"), 10),
-			strconv.FormatFloat(lag.Mean(), 'f', 2, 64),
+			harness.FormatFixed(lag.Mean(), 2),
 		})
 	}
 
@@ -976,7 +976,7 @@ func (s *Suite) AbortAnatomy() (string, error) {
 			if total > 0 {
 				pct = 100 * float64(cycles) / float64(total)
 			}
-			row = append(row, strconv.FormatFloat(pct, 'f', 1, 64))
+			row = append(row, harness.FormatFixed(pct, 1))
 		}
 		vtT.Rows = append(vtT.Rows, row)
 	}

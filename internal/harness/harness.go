@@ -49,6 +49,61 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
+// pow10 holds the scales FormatFixed computes exactly.
+var pow10 = [...]uint64{1, 10, 100, 1000}
+
+// FormatFixed returns strconv.FormatFloat(x, 'f', prec, 64). strconv
+// formats every fixed-precision 'f' through its big-decimal path; for the
+// precisions cells use this scales x's 53-bit mantissa by 10^prec (at most
+// 2^63) and shifts it right, rounding half to even on the exact remainder,
+// which is how strconv rounds. Other precisions, |x| >= 2^53, NaN and ±Inf
+// go to strconv.
+func FormatFixed(x float64, prec int) string {
+	bits := math.Float64bits(x)
+	exp, mant := int(bits>>52&0x7ff), bits&(1<<52-1)
+	switch {
+	case prec < 0 || prec >= len(pow10) || exp >= 1023+53:
+		return strconv.FormatFloat(x, 'f', prec, 64)
+	case exp == 0: // subnormal
+		exp = 1
+	default:
+		mant |= 1 << 52
+	}
+	// |x| = mant * 2^(exp-1075), so x*10^prec is m / 2^sh. Past sh = 64,
+	// m < 2^63 stays below half of 2^sh and rounds to 0 as it does at 64.
+	m, sh := mant*pow10[prec], min(1075-exp, 64)
+	q := m
+	if sh > 0 {
+		q = m >> sh
+		if rem, half := m&(1<<sh-1), uint64(1)<<(sh-1); rem > half || rem == half && q&1 == 1 {
+			q++
+		}
+	}
+	var buf [24]byte // '-', 19 digits, '.'
+	i := len(buf)
+	for n := 0; n < prec; n++ {
+		i--
+		buf[i] = byte('0' + q%10)
+		q /= 10
+	}
+	if prec > 0 {
+		i--
+		buf[i] = '.'
+	}
+	for {
+		i--
+		buf[i] = byte('0' + q%10)
+		if q /= 10; q == 0 {
+			break
+		}
+	}
+	if bits>>63 != 0 {
+		i--
+		buf[i] = '-'
+	}
+	return string(buf[i:])
+}
+
 // Series is one line of a figure: a name and a Y value per X position.
 type Series struct {
 	Name string
@@ -76,7 +131,7 @@ func (f *Figure) Render() string {
 		row := []string{x}
 		for _, s := range f.Series {
 			if i < len(s.Y) {
-				row = append(row, strconv.FormatFloat(s.Y[i], 'f', f.YDecimals, 64))
+				row = append(row, FormatFixed(s.Y[i], f.YDecimals))
 			} else {
 				row = append(row, "-")
 			}

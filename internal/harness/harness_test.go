@@ -120,18 +120,23 @@ func TestAlignRowsRagged(t *testing.T) {
 	}
 }
 
-// TestStrconvMatchesFmt: the strconv forms that render cells and build
-// cell keys print what the fmt verbs they replace print, on the values
-// where the two could part: signed zeros, NaN, infinities, ties that round to even or away,
-// magnitudes past fmt's exponent switch for %v, and integer extremes.
+// TestStrconvMatchesFmt: the strconv forms and FormatFixed, which render
+// cells and build cell keys, print what the fmt verbs they replace print,
+// on the values where the two could part: signed zeros, NaN, infinities,
+// ties that round to even or away, magnitudes past fmt's exponent switch
+// for %v, and integer extremes.
 func TestStrconvMatchesFmt(t *testing.T) {
 	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
 		0.005, 0.125, -0.125, 0.5, 1.5, 2.5, -2.675, 1e21, -1e21, 1e-7,
 		math.MaxFloat64, math.SmallestNonzeroFloat64, 123456789.987654321}
 	for _, x := range floats {
 		for n := 0; n <= 2; n++ {
-			if got, want := strconv.FormatFloat(x, 'f', n, 64), fmt.Sprintf("%.*f", n, x); got != want {
+			want := fmt.Sprintf("%.*f", n, x)
+			if got := strconv.FormatFloat(x, 'f', n, 64); got != want {
 				t.Errorf("FormatFloat(%v, 'f', %d, 64) = %q, %%.%df prints %q", x, n, got, n, want)
+			}
+			if got := FormatFixed(x, n); got != want {
+				t.Errorf("FormatFixed(%v, %d) = %q, %%.%df prints %q", x, n, got, n, want)
 			}
 		}
 	}
@@ -153,6 +158,68 @@ func TestStrconvMatchesFmt(t *testing.T) {
 			t.Errorf("FormatBool(%v) = %q, %%t prints %q", x, got, want)
 		}
 	}
+}
+
+// TestFormatFixedEdges: FormatFixed prints what strconv's 'f' prints at
+// every precision on signed zeros, exact halves that round to even, values
+// just below a half, the integers around 2^53 where it hands over to
+// strconv, subnormals, NaN and the infinities; a few are spelled out.
+func TestFormatFixedEdges(t *testing.T) {
+	cases := []struct {
+		x    float64
+		prec int
+		want string
+	}{
+		{0, 2, "0.00"},
+		{math.Copysign(0, -1), 0, "-0"},
+		{math.Copysign(0, -1), 2, "-0.00"},
+		{-0.001, 2, "-0.00"},
+		{0.125, 2, "0.12"},
+		{0.375, 2, "0.38"},
+		{2.5, 0, "2"},
+		{-2.5, 0, "-2"},
+		{3.5, 0, "4"},
+		{9.995, 2, "9.99"}, // 9.99499999999999921...
+		{1 << 52, 1, "4503599627370496.0"},
+		{1<<53 - 1, 3, "9007199254740991.000"},
+		{1 << 53, 2, "9007199254740992.00"},
+		{math.SmallestNonzeroFloat64, 3, "0.000"},
+		{math.NaN(), 2, "NaN"},
+		{math.Inf(1), 1, "+Inf"},
+		{math.Inf(-1), 0, "-Inf"},
+	}
+	for _, c := range cases {
+		if got := FormatFixed(c.x, c.prec); got != c.want {
+			t.Errorf("FormatFixed(%v, %d) = %q, want %q", c.x, c.prec, got, c.want)
+		}
+	}
+	edges := []float64{0, math.Copysign(0, -1), -0.001, 0.125, 0.375, 2.5, 9.995, 0.0005, 0.005, 0.05, 0.5,
+		1 << 52, 1<<52 + 0.5, 1<<53 - 1, 1 << 53, 1<<53 + 2, math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 0x1p-1022, 0x1p-1023, math.Float64frombits(1<<52 - 1),
+		math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, x := range edges {
+		for _, x := range []float64{x, -x} {
+			for prec := 0; prec <= 5; prec++ {
+				if got, want := FormatFixed(x, prec), strconv.FormatFloat(x, 'f', prec, 64); got != want {
+					t.Errorf("FormatFixed(%v, %d) = %q, strconv prints %q", x, prec, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzFormatFixed: on any float64 bit pattern, at precisions on both sides
+// of FormatFixed's hand-over to strconv, it prints what strconv prints.
+func FuzzFormatFixed(f *testing.F) {
+	for _, x := range []float64{0, -0.001, 0.125, 2.5, 9.995, 1 << 53, math.SmallestNonzeroFloat64, math.NaN()} {
+		f.Add(math.Float64bits(x), uint8(2))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64, p uint8) {
+		x, prec := math.Float64frombits(bits), int(p%6)
+		if got, want := FormatFixed(x, prec), strconv.FormatFloat(x, 'f', prec, 64); got != want {
+			t.Fatalf("FormatFixed(%v [%#x], %d) = %q, strconv prints %q", x, bits, prec, got, want)
+		}
+	})
 }
 
 // fmtAlignRows is alignRows as it was written with fmt: each cell through

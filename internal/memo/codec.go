@@ -40,12 +40,15 @@ type plan struct {
 	*coder
 }
 
-// coder encodes and decodes one type. dec overwrites v (which must be
-// settable) entirely; a malformed input marks the reader bad instead.
+// coder encodes and decodes one type. dec reads one value from r into v
+// (which must be settable), overwriting every part of v it reaches, and
+// returns the reader advanced past it; a malformed input returns it bad
+// instead, with v partly written. The reader travels by value: behind an
+// indirect call a pointer to it would escape, one allocation per decode.
 type coder struct {
 	min int // fewest bytes any value of the type encodes to
 	enc func(b []byte, v reflect.Value) []byte
-	dec func(r *reader, v reflect.Value)
+	dec func(r reader, v reflect.Value) reader
 }
 
 type planResult struct {
@@ -77,14 +80,20 @@ func planFor(t reflect.Type) (*plan, error) {
 	return pr.p, pr.err
 }
 
-// decode decodes payload into a fresh value of the plan's type. ok is false
-// unless payload is exactly one well-formed encoding. A decoded string is a
-// substring of payload, not a copy.
+// decodeInto decodes payload into v, a settable value of the plan's type,
+// and reports whether payload is exactly one well-formed encoding. v is
+// overwritten, never merged: every field, element and map is replaced. When
+// ok is false v holds a partial value. A decoded string is a substring of
+// payload, not a copy.
+func (p *plan) decodeInto(payload string, v reflect.Value) (ok bool) {
+	r := p.dec(reader{buf: payload}, v)
+	return !r.bad && len(r.buf) == 0
+}
+
+// decode is decodeInto on a fresh value of the plan's type.
 func (p *plan) decode(payload string) (v reflect.Value, ok bool) {
 	v = reflect.New(p.typ).Elem()
-	r := reader{buf: payload}
-	p.dec(&r, v)
-	return v, !r.bad && len(r.buf) == 0
+	return v, p.decodeInto(payload, v)
 }
 
 func compile(t reflect.Type, open map[reflect.Type]bool) (*coder, error) {
@@ -103,7 +112,7 @@ func compile(t reflect.Type, open map[reflect.Type]bool) (*coder, error) {
 				}
 				return append(b, 0)
 			},
-			dec: func(r *reader, v reflect.Value) {
+			dec: func(r reader, v reflect.Value) reader {
 				switch r.byte() {
 				case 0:
 					v.SetBool(false)
@@ -112,30 +121,33 @@ func compile(t reflect.Type, open map[reflect.Type]bool) (*coder, error) {
 				default:
 					r.fail()
 				}
+				return r
 			},
 		}, nil
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		return &coder{min: 1,
 			enc: func(b []byte, v reflect.Value) []byte { return binary.AppendVarint(b, v.Int()) },
-			dec: func(r *reader, v reflect.Value) {
+			dec: func(r reader, v reflect.Value) reader {
 				x := r.varint()
 				if v.OverflowInt(x) {
 					r.fail()
-					return
+					return r
 				}
 				v.SetInt(x)
+				return r
 			},
 		}, nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		return &coder{min: 1,
 			enc: func(b []byte, v reflect.Value) []byte { return binary.AppendUvarint(b, v.Uint()) },
-			dec: func(r *reader, v reflect.Value) {
+			dec: func(r reader, v reflect.Value) reader {
 				x := r.uvarint()
 				if v.OverflowUint(x) {
 					r.fail()
-					return
+					return r
 				}
 				v.SetUint(x)
+				return r
 			},
 		}, nil
 	case reflect.Float32:
@@ -143,10 +155,11 @@ func compile(t reflect.Type, open map[reflect.Type]bool) (*coder, error) {
 			enc: func(b []byte, v reflect.Value) []byte {
 				return binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(v.Float())))
 			},
-			dec: func(r *reader, v reflect.Value) {
+			dec: func(r reader, v reflect.Value) reader {
 				if b, ok := r.bytes(4); ok {
 					v.SetFloat(float64(math.Float32frombits(le32(b))))
 				}
+				return r
 			},
 		}, nil
 	case reflect.Float64:
@@ -154,10 +167,11 @@ func compile(t reflect.Type, open map[reflect.Type]bool) (*coder, error) {
 			enc: func(b []byte, v reflect.Value) []byte {
 				return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
 			},
-			dec: func(r *reader, v reflect.Value) {
+			dec: func(r reader, v reflect.Value) reader {
 				if b, ok := r.bytes(8); ok {
 					v.SetFloat(math.Float64frombits(le64(b)))
 				}
+				return r
 			},
 		}, nil
 	case reflect.String:
@@ -166,9 +180,10 @@ func compile(t reflect.Type, open map[reflect.Type]bool) (*coder, error) {
 				b = binary.AppendUvarint(b, uint64(v.Len()))
 				return append(b, v.String()...)
 			},
-			dec: func(r *reader, v reflect.Value) {
+			dec: func(r reader, v reflect.Value) reader {
 				b, _ := r.bytes(r.uvarint())
 				v.SetString(b)
+				return r
 			},
 		}, nil
 	case reflect.Array:
@@ -184,10 +199,11 @@ func compile(t reflect.Type, open map[reflect.Type]bool) (*coder, error) {
 				}
 				return b
 			},
-			dec: func(r *reader, v reflect.Value) {
+			dec: func(r reader, v reflect.Value) reader {
 				for i := 0; i < n && !r.bad; i++ {
-					elem.dec(r, v.Index(i))
+					r = elem.dec(r, v.Index(i))
 				}
+				return r
 			},
 		}, nil
 	case reflect.Slice:
@@ -209,17 +225,18 @@ func compile(t reflect.Type, open map[reflect.Type]bool) (*coder, error) {
 				}
 				return b
 			},
-			dec: func(r *reader, v reflect.Value) {
+			dec: func(r reader, v reflect.Value) reader {
 				n, isNil := r.count(elem.min)
 				if isNil {
 					v.SetZero()
-					return
+					return r
 				}
 				s := reflect.MakeSlice(t, n, n)
 				for i := 0; i < n && !r.bad; i++ {
-					elem.dec(r, s.Index(i))
+					r = elem.dec(r, s.Index(i))
 				}
 				v.Set(s)
+				return r
 			},
 		}, nil
 	case reflect.Map:
@@ -255,27 +272,28 @@ func compile(t reflect.Type, open map[reflect.Type]bool) (*coder, error) {
 				}
 				return b
 			},
-			dec: func(r *reader, v reflect.Value) {
+			dec: func(r reader, v reflect.Value) reader {
 				n, isNil := r.count(key.min + elem.min)
 				if isNil {
 					v.SetZero()
-					return
+					return r
 				}
 				m := reflect.MakeMapWithSize(t, n)
 				k, e := reflect.New(t.Key()).Elem(), reflect.New(t.Elem()).Elem()
 				for i := 0; i < n; i++ {
-					key.dec(r, k)
-					elem.dec(r, e)
+					r = key.dec(r, k)
+					r = elem.dec(r, e)
 					if r.bad {
-						return
+						return r
 					}
 					m.SetMapIndex(k, e)
 					if m.Len() != i+1 { // a repeated key
 						r.fail()
-						return
+						return r
 					}
 				}
 				v.Set(m)
+				return r
 			},
 		}, nil
 	case reflect.Struct:
@@ -300,13 +318,14 @@ func compile(t reflect.Type, open map[reflect.Type]bool) (*coder, error) {
 				}
 				return b
 			},
-			dec: func(r *reader, v reflect.Value) {
+			dec: func(r reader, v reflect.Value) reader {
 				for i, c := range fields {
 					if r.bad {
-						return
+						return r
 					}
-					c.dec(r, v.Field(i))
+					r = c.dec(r, v.Field(i))
 				}
+				return r
 			},
 		}, nil
 	}

@@ -135,11 +135,12 @@ func (s *Store) Stats() Stats {
 }
 
 // Load implements runner.Store: it decodes the latest record for key into
-// out (a *T) after checking the hash of T's type signature. The value is
-// decoded into a fresh T and stored into out only when the whole payload
-// decodes, so out never holds a partial or merged value. A damaged record,
-// a reshaped type or an unreadable log is StoreInvalid — the engine
-// recomputes and appends. A key with no record is StoreMiss.
+// out (a *T) after checking the hash of T's type signature. It decodes in
+// place: on StoreHit every field of *out is overwritten with the saved
+// value, never merged with what *out held; on any other status *out is
+// undefined (a payload that fails partway leaves it partly written). A
+// damaged record, a reshaped type or an unreadable log is StoreInvalid —
+// the engine recomputes and appends. A key with no record is StoreMiss.
 func (s *Store) Load(key runner.Key, out any) runner.LoadStatus {
 	blob, found := s.lookup(key)
 	if !found {
@@ -156,12 +157,10 @@ func (s *Store) Load(key runner.Key, out any) runner.LoadStatus {
 		s.invalid.Add(1)
 		return runner.StoreInvalid
 	}
-	v, ok := p.decode(blob[8:])
-	if !ok {
+	if !p.decodeInto(blob[8:], rv.Elem()) {
 		s.invalid.Add(1)
 		return runner.StoreInvalid
 	}
-	rv.Elem().Set(v)
 	s.hits.Add(1)
 	return runner.StoreHit
 }

@@ -553,26 +553,38 @@ func TestEngineIntegrationConcurrent(t *testing.T) {
 	}
 }
 
-// TestLoadOverwritesDestination: Load replaces out wholesale. Zero fields,
-// nil slices and nil maps in the stored value must come back as zero, nil
-// and nil even when the destination held something else.
+// TestLoadOverwritesDestination: Load decodes in place and replaces out
+// wholesale, never merging. Zero fields, nil slices and nil maps in the
+// stored value must come back as zero, nil and nil even when the
+// destination held something else; populated slices and maps come back
+// holding exactly the saved elements, not the destination's as well.
 func TestLoadOverwritesDestination(t *testing.T) {
 	type result struct {
 		A, B uint64
+		Arr  [2]string
 		S    []int
 		M    map[string]int
+		Sub  struct{ S []string }
 	}
 	s := openTest(t)
-	want := result{A: 1}
-	if err := s.Save("cell", want); err != nil {
-		t.Fatal(err)
+	saved := []result{
+		{A: 1},
+		{A: 2, Arr: [2]string{"a", ""}, S: []int{1}, M: map[string]int{"a": 1, "b": 2}},
 	}
-	out := result{A: 9, B: 9, S: []int{9}, M: map[string]int{"x": 9}}
-	if st := s.Load("cell", &out); st != runner.StoreHit {
-		t.Fatalf("Load = %v, want hit", st)
-	}
-	if !reflect.DeepEqual(out, want) {
-		t.Fatalf("Load into a non-zero destination = %+v, want %+v", out, want)
+	saved[1].Sub.S = []string{}
+	for i, want := range saved {
+		key := runner.Key(fmt.Sprintf("cell/%d", i))
+		if err := s.Save(key, want); err != nil {
+			t.Fatal(err)
+		}
+		out := result{A: 9, B: 9, Arr: [2]string{"x", "y"}, S: []int{9, 9, 9}, M: map[string]int{"x": 9, "a": 9}}
+		out.Sub.S = []string{"x"}
+		if st := s.Load(key, &out); st != runner.StoreHit {
+			t.Fatalf("%s: Load = %v, want hit", key, st)
+		}
+		if !reflect.DeepEqual(out, want) {
+			t.Fatalf("%s: Load into a non-zero destination = %+v, want %+v", key, out, want)
+		}
 	}
 }
 
@@ -767,10 +779,10 @@ func hitSample(n int) hitCell {
 }
 
 // TestLoadHitAllocs: a hit's strings share the bytes of the log, so a
-// decode allocates for the fresh value, the slice and the map, and nothing
-// per string: a record naming 64 sites costs what one naming 4 costs. The
-// ceiling is the count when strings became views (the copying decoder
-// took 15 and 75).
+// decode allocates for the slice and the map, and nothing per string: a
+// record naming 64 sites costs what one naming 4 costs. The ceiling is the
+// count since Load decodes in place with a reader that stays on the stack
+// (8 when it decoded a fresh value; the copying decoder took 15 and 75).
 func TestLoadHitAllocs(t *testing.T) {
 	s := openTest(t)
 	allocs := func(n int) float64 {
@@ -789,7 +801,7 @@ func TestLoadHitAllocs(t *testing.T) {
 	if many != few {
 		t.Errorf("Load of 64 strings = %.0f allocs, of 4 strings %.0f: a string field allocates", many, few)
 	}
-	const ceiling = 8
+	const ceiling = 6
 	if few > ceiling {
 		t.Errorf("Load = %.0f allocs/op, want <= %d", few, ceiling)
 	}

@@ -16,6 +16,7 @@ package runner
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 )
@@ -64,6 +65,7 @@ const (
 	// not counted in Stats.
 	StoreDisabled LoadStatus = iota
 	// StoreHit means out was filled with a fully verified cached result.
+	// It is the only status under which out is defined.
 	StoreHit
 	// StoreMiss means the store has no entry for the key.
 	StoreMiss
@@ -76,7 +78,9 @@ const (
 // Store is a persistent, cross-process result cache consulted for every
 // unique key before its job function runs. Load must decode the entry for
 // key into out (a *T for the job's result type T) and report the outcome;
-// Save persists a computed result. Load runs on the goroutine that calls
+// out is defined only on StoreHit, where it holds the whole entry: on any
+// other status Load may have written part of it, and the engine discards
+// it. Save persists a computed result. Load runs on the goroutine that calls
 // Submit, Save on a worker. Implementations must be safe for concurrent
 // use by multiple goroutines, and must only ever return StoreHit for fully
 // verified entries — a corrupt or ambiguous entry is StoreInvalid, never a
@@ -124,7 +128,10 @@ type Engine struct {
 type job struct {
 	// done is released once, when the job settles. A WaitGroup lives in
 	// the job, where a channel would be one more allocation per job.
-	done   sync.WaitGroup
+	done sync.WaitGroup
+	// val is a *T for the submitting result type T: the value a store hit
+	// decoded into, or a successful fn's result. A pointer sits in an
+	// interface as it is, where a T would be boxed in a second copy.
 	val    any
 	err    error
 	events uint64
@@ -236,8 +243,8 @@ func probe[T any](e *Engine, key Key, store Store, inject func(Key) error, j *jo
 			return true
 		}
 	}
-	var cached T
-	switch store.Load(key, &cached) {
+	cached := new(T)
+	switch store.Load(key, cached) {
 	case StoreHit:
 		e.mu.Lock()
 		e.cacheHits++
@@ -257,7 +264,7 @@ func probe[T any](e *Engine, key Key, store Store, inject func(Key) error, j *jo
 }
 
 // execute runs a job that missed the store, on a worker, and writes its
-// result back.
+// result back. It returns a *T, as job.val holds.
 func execute[T any](e *Engine, key Key, store Store, j *job, fn func() (T, error)) (any, error) {
 	e.mu.Lock()
 	e.executed++
@@ -272,7 +279,7 @@ func execute[T any](e *Engine, key Key, store Store, j *job, fn func() (T, error
 		// it (memo.Stats.SaveErrors) for the caller to report.
 		_ = store.Save(key, v)
 	}
-	return v, err
+	return &v, err
 }
 
 // Wait blocks until the job finishes and returns its result. Waiting on a
@@ -285,11 +292,11 @@ func (f Future[T]) Wait() (T, error) {
 	if f.j.err != nil {
 		return zero, f.j.err
 	}
-	v, ok := f.j.val.(T)
+	v, ok := f.j.val.(*T)
 	if !ok {
-		return zero, fmt.Errorf("runner: key reused with conflicting result type %T", f.j.val)
+		return zero, fmt.Errorf("runner: key reused with conflicting result type %s", reflect.TypeOf(f.j.val).Elem())
 	}
-	return v, nil
+	return *v, nil
 }
 
 // Do is Submit followed by Wait: it runs (or reuses) the job synchronously.

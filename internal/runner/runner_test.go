@@ -194,13 +194,24 @@ func TestEventAccounting(t *testing.T) {
 }
 
 // TestConflictingResultType checks the typed-future guard: reusing a key
-// under a different result type yields an error, not a panic.
+// under a different result type yields an error, not a panic, and the error
+// names the type the key's result was stored as, whether the job ran or was
+// a store hit.
 func TestConflictingResultType(t *testing.T) {
+	st := newFakeStore()
+	st.entries["hit"] = 7
 	e := New(1)
-	if _, err := Do(e, "k", func() (int, error) { return 7, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Do(e, "k", func() (string, error) { return "x", nil }); err == nil {
-		t.Fatal("conflicting type reuse returned nil error")
+	e.SetStore(st)
+	for _, key := range []Key{"ran", "hit"} {
+		if _, err := Do(e, key, func() (int, error) { return 7, nil }); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Do(e, key, func() (string, error) { return "x", nil })
+		if err == nil {
+			t.Fatalf("%s: conflicting type reuse returned nil error", key)
+		}
+		if want := "conflicting result type int"; !strings.HasSuffix(err.Error(), want) {
+			t.Fatalf("%s: err = %q, want it to end %q", key, err, want)
+		}
 	}
 }

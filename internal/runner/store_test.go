@@ -196,6 +196,59 @@ func TestStoreHitNeedsNoWorker(t *testing.T) {
 	}
 }
 
+// scribbleStore writes a non-zero value into out and then reports status,
+// as a store whose decode fails partway may.
+type scribbleStore struct{ status LoadStatus }
+
+func (s scribbleStore) Load(_ Key, out any) LoadStatus {
+	*(out.(*int)) = -1
+	return s.status
+}
+
+func (scribbleStore) Save(Key, any) error { return nil }
+
+// TestStoreOutDefinedOnlyOnHit: out is defined only on StoreHit, so what a
+// missing or invalid Load wrote into it is never served: the job runs fn and
+// Wait returns fn's value.
+func TestStoreOutDefinedOnlyOnHit(t *testing.T) {
+	for _, status := range []LoadStatus{StoreInvalid, StoreMiss} {
+		e := New(1)
+		e.SetStore(scribbleStore{status})
+		var runs atomic.Int32
+		v, err := Do(e, "cell", func() (int, error) { runs.Add(1); return 7, nil })
+		if err != nil || v != 7 || runs.Load() != 1 {
+			t.Errorf("status %d: Do = %v, %v after %d runs; want fn's 7 after 1 run", status, v, err, runs.Load())
+		}
+	}
+}
+
+// TestSubmitHitAllocs: a store hit allocates its job and the *T the store
+// decodes into, which the job holds as its result; Wait copies the T out.
+// The runs share one engine, so the count includes the jobs map's growth,
+// amortized below one allocation per hit.
+func TestSubmitHitAllocs(t *testing.T) {
+	const runs = 1000
+	st := newFakeStore()
+	keys := make([]Key, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range keys {
+		keys[i] = Key(fmt.Sprintf("cell/%d", i))
+		st.entries[keys[i]] = 1000 + i // past the runtime's preallocated small ints
+	}
+	e := New(1)
+	e.SetStore(st)
+	fn := func() (int, error) { return 0, errors.New("job function ran") }
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if v, err := Submit(e, keys[i], fn).Wait(); err != nil || v != 1000+i {
+			t.Fatalf("hit %d = %v, %v", i, v, err)
+		}
+		i++
+	})
+	if allocs > 2 {
+		t.Errorf("Submit+Wait of a hit = %.0f allocs, want <= 2", allocs)
+	}
+}
+
 // BenchmarkSubmitHit is the warm-serve path in isolation: Submit and Wait
 // of a fresh key that the store holds.
 func BenchmarkSubmitHit(b *testing.B) {
