@@ -324,7 +324,9 @@ func (r *Runtime) Begin(c *sim.Context) *Txn {
 		t.writeBuf.Init(writeBufMinSize)
 		r.pool[c.ID()] = t
 	} else {
-		poolCheckTxn(r, t)
+		if r.m.Cfg.Invariants {
+			poolCheckTxn(r, c)
+		}
 		t.readLines = t.readLines[:0]
 		t.writeLines = t.writeLines[:0]
 		t.writeBuf.Reset()

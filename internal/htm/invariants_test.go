@@ -1,6 +1,8 @@
 package htm
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"tsxhpc/internal/sim"
@@ -64,6 +66,37 @@ func TestCommitCatchesTornWriteSet(t *testing.T) {
 		tx.Commit()
 	})
 	t.Fatal("torn write set committed without a violation")
+}
+
+// TestBeginCatchesStaleDirectoryBit: with Invariants armed, a reader bit
+// that a thread's finished transaction left in the conflict directory (here
+// planted directly) fails that thread's next Begin with the typed htm-pool
+// violation naming the line.
+func TestBeginCatchesStaleDirectoryBit(t *testing.T) {
+	m := sim.New(sim.Config{Cores: 4, ThreadsPerCore: 2, Costs: sim.DefaultCosts(), Seed: 1, Invariants: true})
+	r := New(m)
+	a := m.Mem.AllocLine(8)
+	line := sim.LineOf(a)
+	defer func() {
+		p := recover()
+		ie, ok := p.(*sim.InvariantError)
+		if !ok {
+			t.Fatalf("recovered %v, want *sim.InvariantError", p)
+		}
+		if ie.Point != "htm-pool" || !strings.Contains(ie.Detail, fmt.Sprintf("%#x", line)) {
+			t.Fatalf("violation = %v, want htm-pool naming line %#x", ie, line)
+		}
+	}()
+	m.Run(1, func(c *sim.Context) {
+		tx := r.Begin(c)
+		tx.Store(a, 1)
+		tx.Commit()
+		i, _ := r.lines.Place(line)
+		w, bit := dirReaderBit(c.ID())
+		r.lines.Vals[i][w] |= bit
+		r.Begin(c)
+	})
+	t.Fatal("stale directory bit survived into the next Begin")
 }
 
 // TestCommitCleanWithInvariants: the same shape without corruption commits

@@ -26,18 +26,7 @@ const (
 //
 //	bits 0-7   per-HT-slot transactional-read marks (rmask)
 //	bits 8-15  per-HT-slot transactional-write marks (wmask)
-//	bit 16     exclusive ownership (MESI E/M state)
-//
-// The excl bit records that no other cache holds this line. It is set when a
-// probe of the other caches comes back empty (or a write invalidates every
-// other copy) and cleared when a remote read miss is served from this cache.
-// Writes hitting an exclusive line skip the coherence probe entirely — the
-// probe provably finds nothing.
-const (
-	metaWShift = 8       // wmask bit position
-	metaExcl   = 1 << 16 // exclusive-ownership bit
-	metaMarks  = 0xffff  // rmask|wmask bits
-)
+const metaWShift = 8 // wmask bit position
 
 // CacheStats aggregates cache-model event counts (useful for analyzing why
 // a synchronization scheme behaves as it does — e.g. lock-line ping-pong
@@ -63,7 +52,7 @@ type CacheStats struct {
 // structure-of-arrays form — parallel tags/meta/lru planes indexed
 // [set][way] — so each phase of an access touches only the plane it needs:
 // lookup scans a set's 8 tags packed into a single host cache line, the
-// mark/excl updates hit one meta word, and only LRU victim selection reads
+// mark updates hit one meta word, and only LRU victim selection reads
 // the lru plane.
 type Cache struct {
 	m      *Machine
@@ -74,8 +63,7 @@ type Cache struct {
 	// reserves the first line (Alloc starts at 64) — so tag 0 unambiguously
 	// means "invalid way".
 	tags [cacheSets][cacheWays]Addr
-	// meta packs each way's transactional marks and MESI excl bit (layout
-	// above the meta* constants).
+	// meta packs each way's transactional marks (layout above metaWShift).
 	meta [cacheSets][cacheWays]uint32
 	// lru holds each way's last-touch tick for victim selection.
 	lru   [cacheSets][cacheWays]uint64
@@ -150,13 +138,13 @@ func (c *Cache) access(ctx *Context, line Addr, write, tx bool) uint64 {
 	var cost uint64
 	remote := false
 	remoteSock := false // some holder sat on another socket
-	probed := false
-	if (write || w < 0) && !(write && w >= 0 && c.meta[set][w]&metaExcl != 0) {
+	if write || w < 0 {
 		// A write needs exclusive ownership; a read miss may be served by a
-		// cache-to-cache transfer. Either way, probe the other cores — unless
-		// this is a write hitting a line already held exclusively, in which
-		// case no other cache can hold a copy and the probe is skipped.
-		probed = true
+		// cache-to-cache transfer. Either way, probe the other cores. A
+		// write hit probes too, even on a line no other cache holds: the
+		// presence directory shows that in one load, so an exclusive (MESI
+		// E) bit per way would save nothing (DESIGN.md §12).
+		//
 		// The presence directory names the cores holding a copy; iterate
 		// them in ascending core order (matching a full scan) and skip the
 		// rest. Most lines are private, so the mask is usually empty.
@@ -170,11 +158,11 @@ func (c *Cache) access(ctx *Context, line Addr, write, tx bool) uint64 {
 					remote = true
 					remoteSock = remoteSock || other.socket != c.socket
 				}
-			} else if ow := other.lookup(line); ow >= 0 {
+			} else if other.lookup(line) >= 0 {
+				// A read leaves the remote copy in place: both caches now
+				// share the line.
 				remote = true
 				remoteSock = remoteSock || other.socket != c.socket
-				// The remote copy is no longer the only one.
-				other.meta[set][ow] &^= metaExcl
 			}
 		}
 	}
@@ -208,20 +196,13 @@ func (c *Cache) access(ctx *Context, line Addr, write, tx bool) uint64 {
 	if w < 0 {
 		w = c.install(line)
 	}
-	meta := &c.meta[set][w]
-	if probed && (write || !remote) {
-		// Either every other copy was just invalidated (write) or the probe
-		// found no other holder (read miss): this cache is now the sole one.
-		*meta |= metaExcl
-	}
 	c.lru[set][w] = c.ticks
 	if tx {
 		bit := uint32(1) << uint(ctx.slot)
 		if write {
-			*meta |= bit << metaWShift
-		} else {
-			*meta |= bit
+			bit <<= metaWShift
 		}
+		c.meta[set][w] |= bit
 	}
 	return cost
 }
@@ -267,7 +248,7 @@ place:
 // by a line leaving the cache: written lines cause capacity aborts, read
 // lines demote to the secondary tracking structure.
 func (c *Cache) fireEvictHook(tag Addr, meta uint32) {
-	if meta&metaMarks == 0 || c.m.EvictHook == nil {
+	if meta == 0 || c.m.EvictHook == nil {
 		return
 	}
 	coreID := c.id

@@ -93,6 +93,6 @@ const (
 	maxCores = 64
 	// maxThreadsPerCore is the per-core hardware thread limit: cache way
 	// metadata packs per-thread transactional read and write marks into
-	// 8-bit fields (see metaWShift and metaMarks in cache.go).
+	// 8-bit fields (see metaWShift in cache.go).
 	maxThreadsPerCore = 8
 )

@@ -193,9 +193,9 @@ func TestBackendsAgreeOnFatalPanic(t *testing.T) {
 }
 
 // TestBackendsAgreeOnConsecutiveRuns reuses one Machine for two regions of
-// different widths: the second region's carriers come from recycled
-// Context records and fresh slots, which must not see stale parity or
-// parking state from the first region's drain.
+// different widths: the second region's fresh Context records and slots
+// must not see stale parity or parking state from the first region's
+// drain.
 func TestBackendsAgreeOnConsecutiveRuns(t *testing.T) {
 	fast, pull := onBothBackends(t, func() [2]Result {
 		m := New(DefaultConfig())

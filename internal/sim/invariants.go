@@ -39,7 +39,7 @@ func (e *InvariantError) Error() string {
 // checks that can actually fail are: every valid way's tag maps to this set,
 // no two valid ways carry the same tag (a duplicated line would double-count
 // capacity and split transactional marks), and an invalid way carries no
-// metadata (orphaned marks or excl state would resurrect on the next
+// metadata (orphaned transactional marks would resurrect on the next
 // install into that way).
 func (c *Cache) checkSet(set int) string {
 	tags := &c.tags[set]

@@ -93,7 +93,7 @@ func TestCacheAuditCatchesForeignTag(t *testing.T) {
 }
 
 // TestCacheAuditCatchesOrphanedMeta: metadata surviving on an invalidated
-// way (marks or excl state that would resurrect on the next install) is
+// way (a transactional mark that would resurrect on the next install) is
 // reported.
 func TestCacheAuditCatchesOrphanedMeta(t *testing.T) {
 	m := New(invariantConfig())
@@ -103,7 +103,7 @@ func TestCacheAuditCatchesOrphanedMeta(t *testing.T) {
 	cache := m.caches[0]
 	w := cache.lookup(line)
 	cache.tags[setOf(line)][w] = 0 // invalidate without clearing meta
-	cache.meta[setOf(line)][w] = metaExcl
+	cache.meta[setOf(line)][w] = 1 << metaWShift
 	if err := m.VerifyCaches(); err == nil || !strings.Contains(err.Error(), "meta plane") {
 		t.Fatalf("orphaned meta not caught: %v", err)
 	}

@@ -8,7 +8,7 @@ import (
 
 // TestContextRandStreams: each context's Rand yields the stream of
 // rand.New(rand.NewSource(seed)) for its per-context seed, region after
-// region on one machine (records recycled, some idle for a region), and
+// region on one machine (fresh records, some idle for a region), and
 // counting the draws another thread's access makes for it through the
 // evict hook while it sits queued mid-Compute, the way htm demotes an
 // evicted transactional read.

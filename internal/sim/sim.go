@@ -223,14 +223,13 @@ type Machine struct {
 	nCores   int
 	nSockets int
 	ctxs     []*Context
-	ctxSlab  []*Context // Context records recycled across Run calls (slab)
 	// tree is the run queue: a min-winner tournament tree over the packed
 	// scheduling keys of the runnable (not running) contexts. It holds 2·P
 	// words for P = the next power of two ≥ the region's thread count;
 	// tree[P..2P) are the leaves (MaxUint64 when vacant), tree[1] is the
 	// root, and every inner node holds the smaller of its two children. A
 	// key carries its thread id, so the root names the winner directly.
-	// Rebuilt per region in attach on a recycled backing slice.
+	// Built fresh per region in attach.
 	tree []uint64
 	// freeLeaves is the stack of vacant leaf indices: popMin pushes the
 	// winner's leaf, qpush pops one. Sized per region so it never grows.
@@ -275,11 +274,6 @@ type Machine struct {
 	// progressMark is the clock of the last global progress event.
 	deadline     uint64
 	progressMark uint64
-
-	// tainted records that a region ended in poison-unwind; the slabcheck
-	// build tag uses it to skip recycling assertions on diagnostic-only
-	// machines.
-	tainted bool
 
 	// ConflictHook, when non-nil, is invoked on every timed memory access
 	// (transactional or not) with the accessed line. Package htm installs it
@@ -375,8 +369,7 @@ func (m *Machine) Sockets() int { return m.nSockets }
 func (m *Machine) SocketOf(core int) int { return core / m.Cfg.Cores }
 
 // Context is one simulated hardware thread executing a workload body.
-// Context records live in a per-machine slab and are recycled across Run
-// calls; the coroutine carrier executing the body is per-region.
+// Each Run region gets fresh Context records and fresh coroutine carriers.
 type Context struct {
 	// The first fields are the per-event hot set (charge + maybeYield touch
 	// m, key, clock; access adds cache; the sibling pointer feeds the
@@ -521,57 +514,35 @@ func (m *Machine) Run(n int, body func(*Context)) Result {
 	return res
 }
 
-// attach prepares n contexts for a region: records come from the per-machine
-// slab (allocated once, recycled across Run calls), are reset to their
-// initial state, and all enter the run queue. Run then gives each a fresh
-// coroutine carrier for the body.
+// attach prepares n fresh contexts for a region, allocated as one block,
+// and enters them all in the run queue. Run then gives each a coroutine
+// carrier for the body.
 func (m *Machine) attach(n int) {
-	if need := n - len(m.ctxSlab); need > 0 {
-		// Grow the slab with one contiguous block: a 512-thread region is a
-		// single allocation plus pointer appends, so large machines
-		// construct in microseconds rather than one Context heap object at
-		// a time.
-		blk := make([]Context, need)
-		for i := range blk {
-			blk[i].m = m
-			m.ctxSlab = append(m.ctxSlab, &blk[i])
-		}
-	}
 	if n > 1<<keyIDBits {
 		panic(fmt.Sprintf("sim: %d threads exceed the packed scheduling key's %d-id capacity", n, 1<<keyIDBits))
 	}
-	m.ctxs = m.ctxSlab[:n]
+	// One contiguous block: a 512-thread region is a single allocation plus
+	// pointer stores, so large machines construct in microseconds rather
+	// than one Context heap object at a time.
+	blk := make([]Context, n)
+	m.ctxs = make([]*Context, n)
 	m.htNum = uint64(m.Costs.HTFactorNum)
 	m.htDen = uint64(m.Costs.HTFactorDen)
 	m.htQuantum = computeQuantum * m.htNum / m.htDen
 	m.nLive = n
-	for i, c := range m.ctxs {
-		slabCheckContext(c)
+	for i := range blk {
+		c := &blk[i]
+		m.ctxs[i] = c
+		c.m = m
 		c.id = i
 		c.core = i % m.nCores
 		c.slot = i / m.nCores
 		c.cache = m.caches[c.core]
-		c.sibling = nil
-		c.clock = 0
 		c.key = uint64(i)
-		c.state = ctxRunnable
-		c.computeLeft = 0
-		c.spinStage = spinIdle
-		c.wakePending = false
-		c.wakeAt = 0
-		c.InTxn = false
-		c.TxnData = nil
-		c.STMData = nil
-		c.pendingLine = 0
 		if pr := m.probes; pr != nil {
 			pr.phase[i] = PhaseOther
 		}
-		seed := m.Cfg.Seed + int64(i)*7919
-		if c.Rand == nil {
-			c.Rand = rand.New(&lazySource{seed: seed})
-		} else {
-			c.Rand.Seed(seed) // the source reseeds on its next draw
-		}
+		c.Rand = rand.New(&lazySource{seed: m.Cfg.Seed + int64(i)*7919})
 	}
 	for _, c := range m.ctxs {
 		if c.slot > 0 {
@@ -592,12 +563,12 @@ func (m *Machine) attach(n int) {
 // it yields the stream of rand.NewSource(seed). Seeding a source costs
 // about 13 µs, and many contexts of a large region never draw.
 type lazySource struct {
-	src    rand.Source64 // nil until the first draw
-	seed   int64
-	seeded bool
+	src  rand.Source64 // nil until the first draw
+	seed int64
 }
 
-func (s *lazySource) Seed(seed int64) { s.seed, s.seeded = seed, false }
+// Seed restarts the stream at seed; the source is rebuilt on the next draw.
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 func (s *lazySource) Int63() int64 { return s.source().Int63() }
 
@@ -605,13 +576,9 @@ func (s *lazySource) Uint64() uint64 { return s.source().Uint64() }
 
 // source returns the underlying source, seeded.
 func (s *lazySource) source() rand.Source64 {
-	if !s.seeded {
-		if s.src == nil {
-			s.src = rand.NewSource(s.seed).(rand.Source64)
-		} else {
-			s.src.Seed(s.seed)
-		}
-		s.seeded = true
+	if s.src == nil {
+		// The first draw seeds the stream.
+		s.src = rand.NewSource(s.seed).(rand.Source64)
 	}
 	return s.src
 }
@@ -668,7 +635,6 @@ func (m *Machine) resumeCtx(c *Context) {
 // body's defers and is recovered at the carrier top, which then returns
 // control here. The already-dead panicking carrier is skipped (ctxDone).
 func (m *Machine) poisonAll() {
-	m.tainted = true
 	m.poisoned = true
 	for _, c := range m.ctxs {
 		if c.state != ctxDone {
@@ -1262,7 +1228,7 @@ func (c *Context) TxAccess(a Addr, write bool) {
 // clocks sit close together, so a compare-and-branch structure such as a
 // heap's sift-down mispredicts on about every other child compare. The
 // batching fast path (one compare against the cached root key) is
-// untouched, and the backing slices are recycled across regions, so the
+// untouched, and the backing slices are allocated once per region, so the
 // hot path never allocates.
 
 // keyIDBits is the width of the thread-id field in the packed scheduling
@@ -1283,10 +1249,7 @@ func (m *Machine) buildRunQueue() {
 	for p < n {
 		p <<= 1
 	}
-	if cap(m.tree) < 2*p {
-		m.tree = make([]uint64, 2*p)
-	}
-	t := m.tree[:2*p]
+	t := make([]uint64, 2*p)
 	m.tree = t
 	for i := 0; i < p; i++ {
 		k := ^uint64(0)
@@ -1301,10 +1264,7 @@ func (m *Machine) buildRunQueue() {
 		t[i] = min(t[2*i], t[2*i+1])
 	}
 	m.qtopKey = t[1]
-	if cap(m.freeLeaves) < n {
-		m.freeLeaves = make([]int32, 0, n)
-	}
-	m.freeLeaves = m.freeLeaves[:0]
+	m.freeLeaves = make([]int32, 0, n)
 }
 
 // replay writes key k at leaf i and recomputes the path to the root,

@@ -319,7 +319,7 @@ func TestMaxCyclesBudget(t *testing.T) {
 // TestFinishWithEmptyQueue covers the terminal handoff: the last runnable
 // context finishes while the run queue is empty, so finish must hand
 // control back to the region driver (not a successor), and the machine must
-// come out clean enough to run further regions on recycled contexts.
+// come out clean enough to run further regions.
 func TestFinishWithEmptyQueue(t *testing.T) {
 	m := New(DefaultConfig())
 	res := m.Run(1, func(c *Context) {}) // empty body: finish sees an empty queue at clock 0
