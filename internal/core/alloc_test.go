@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"tsxhpc/internal/htm"
@@ -11,15 +12,16 @@ import (
 
 // TestElisionAllocs guards the host allocations one elided critical section
 // costs on each elision entry point: the locking module's Region.Do, the
-// TSX System.Atomic and a lockset ElideSet. One thread runs n and then 2n
+// TSX System.Atomic and a lockset ElideSet, plus a SendBatch-shaped region
+// whose ring stores are one StoreN run. One thread runs n and then 2n
 // regions that all commit on their first try; the difference between the
 // two runs' allocation counts, divided by n, is the per-region cost, free
 // of the machine's setup. The ceilings are the counts measured when the
 // locking module still ran its own retry loop. The "atomic" and "tl2"
 // ceilings also hold the recycled per-thread transaction records of htm and
-// stm: without those pools a region costs 6 more allocations. A TL2 region
-// boxes its Tx once, and the longer run pays one more allocation in all (it
-// reads 1.02), hence its fractional ceiling.
+// stm: without those pools a region costs 6 more allocations. A TL2 region's
+// Tx and CS are its *stm.Txn, so they box for free. A plain region boxes
+// its CS once ("storen-mutex"); its run adds nothing.
 func TestElisionAllocs(t *testing.T) {
 	const n = 64
 	perRegion := func(region func(m *sim.Machine) func(c *sim.Context, a sim.Addr)) float64 {
@@ -35,7 +37,15 @@ func TestElisionAllocs(t *testing.T) {
 				})
 			}
 		}
-		return (testing.AllocsPerRun(5, run(2*n)) - testing.AllocsPerRun(5, run(n))) / n
+		// The runtime allocates now and then on its own (a carrier
+		// goroutine's g, GC bookkeeping), a few mallocs a run that move
+		// one reading by 1/n. A region's own allocations show in every
+		// try, so the least of three is the per-region cost.
+		least := math.Inf(1)
+		for range 3 {
+			least = min(least, (testing.AllocsPerRun(5, run(2*n))-testing.AllocsPerRun(5, run(n)))/n)
+		}
+		return least
 	}
 	cases := []struct {
 		name   string
@@ -59,7 +69,9 @@ func TestElisionAllocs(t *testing.T) {
 			return func(c *sim.Context, a sim.Addr) {
 				s.Atomic(c, func(tx tm.Tx) { tx.Store(a, tx.Load(a)+1) })
 			}
-		}, 1.1},
+		}, 0},
+		{"storen", storenRegion(ModeTL2), 0},
+		{"storen-mutex", storenRegion(ModeMutex), 1},
 		{"lockset", func(m *sim.Machine) func(*sim.Context, sim.Addr) {
 			el := tm.NewElider(htm.New(m), m, "lockset")
 			locks := []*ssync.Mutex{ssync.NewMutex(m.Mem), ssync.NewMutex(m.Mem)}
@@ -74,5 +86,29 @@ func TestElisionAllocs(t *testing.T) {
 				t.Errorf("%.2f allocations per region, want at most %g", got, tc.max)
 			}
 		})
+	}
+}
+
+// storenRegion is a SendBatch-shaped lockmod region: a load, a run of ring
+// stores built in the thread's own buffers, a read-modify-write and an
+// in-section Compute.
+func storenRegion(mode LockMode) func(m *sim.Machine) func(*sim.Context, sim.Addr) {
+	return func(m *sim.Machine) func(*sim.Context, sim.Addr) {
+		r := NewLockModule(m, mode).NewRegion()
+		ring := m.Mem.AllocLine(16 * 8)
+		return func(c *sim.Context, a sim.Addr) {
+			r.Do(c, func(cs CS) {
+				tail := cs.Load(a)
+				addrs, vals := cs.Ctx().StoreBuf(10)
+				for i := range 8 {
+					addrs[i], vals[i] = ring+sim.Addr(8*((tail+uint64(i))%16)), tail+uint64(i)
+				}
+				addrs[8], vals[8] = a, tail+8
+				addrs[9], vals[9] = ring+15*8, tail
+				cs.StoreN(addrs, vals)
+				cs.Store(a+8, cs.Load(a+8)+1)
+				cs.Ctx().Compute(40)
+			})
+		}
 	}
 }

@@ -183,6 +183,11 @@ func (cv *CondVar) broadcast(c *sim.Context) {
 type CS interface {
 	Load(a sim.Addr) uint64
 	Store(a sim.Addr, v uint64)
+	// StoreN is Store(addrs[i], vals[i]) for each i in order. Plain and
+	// TL2 sections take the stores as one run (sim.Context.StoreN,
+	// stm.Txn.StoreN); hardware-transactional ones store one by one. The
+	// slices must be the calling thread's own (sim.Context.StoreBuf).
+	StoreN(addrs []sim.Addr, vals []uint64)
 	Ctx() *sim.Context
 	// Wait suspends until the condition may have changed. It either waits
 	// in place and returns (lock-based modes) or unwinds and restarts the
@@ -223,7 +228,10 @@ type plainCS struct {
 
 func (s *plainCS) Load(a sim.Addr) uint64     { return s.c.Load(a) }
 func (s *plainCS) Store(a sim.Addr, v uint64) { s.c.Store(a, v) }
-func (s *plainCS) Ctx() *sim.Context          { return s.c }
+func (s *plainCS) StoreN(addrs []sim.Addr, vals []uint64) {
+	s.c.StoreN(addrs, vals)
+}
+func (s *plainCS) Ctx() *sim.Context { return s.c }
 
 func (s *plainCS) Wait(cv *CondVar) {
 	if s.busy {
@@ -270,7 +278,15 @@ type txCS struct {
 
 func (s *txCS) Load(a sim.Addr) uint64     { return s.t.Load(a) }
 func (s *txCS) Store(a sim.Addr, v uint64) { s.t.Store(a, v) }
-func (s *txCS) Ctx() *sim.Context          { return s.t.Ctx() }
+
+// StoreN stores one by one: a run taken in place could not stop at an
+// access that dooms the transaction.
+func (s *txCS) StoreN(addrs []sim.Addr, vals []uint64) {
+	for i, a := range addrs {
+		s.t.Store(a, vals[i])
+	}
+}
+func (s *txCS) Ctx() *sim.Context { return s.t.Ctx() }
 
 func (s *txCS) Wait(cv *CondVar) {
 	switch s.mode {
@@ -328,15 +344,15 @@ func (s *txCS) Waiters(cv *CondVar) uint64 {
 // follow busy-wait semantics: a Wait discards the buffered (invisible)
 // writes and restarts the body after a poll gap — TL2's lazy versioning
 // means nothing was published, so the restart is a clean re-execution —
-// and signals are unnecessary because every waiter polls.
-type tl2CS struct {
-	t *stm.Txn
-	c *sim.Context
-}
+// and signals are unnecessary because every waiter polls. A *tl2CS is the
+// attempt's *stm.Txn itself, so passing one as a CS allocates nothing.
+type tl2CS stm.Txn
 
-func (s *tl2CS) Load(a sim.Addr) uint64     { return s.t.Load(a) }
-func (s *tl2CS) Store(a sim.Addr, v uint64) { s.t.Store(a, v) }
-func (s *tl2CS) Ctx() *sim.Context          { return s.c }
+func (s *tl2CS) txn() *stm.Txn                          { return (*stm.Txn)(s) }
+func (s *tl2CS) Load(a sim.Addr) uint64                 { return s.txn().Load(a) }
+func (s *tl2CS) Store(a sim.Addr, v uint64)             { s.txn().Store(a, v) }
+func (s *tl2CS) StoreN(addrs []sim.Addr, vals []uint64) { s.txn().StoreN(addrs, vals) }
+func (s *tl2CS) Ctx() *sim.Context                      { return s.txn().Ctx() }
 
 func (s *tl2CS) Wait(cv *CondVar) {
 	// Unwind the attempt without committing; doTL2 polls and restarts.
@@ -374,7 +390,7 @@ func (r *Region) Do(c *sim.Context, body func(CS)) {
 // internally, so a return without a wait is a commit).
 func (r *Region) doTL2(c *sim.Context, body func(CS)) {
 	for unwound(func() {
-		r.lm.STM.Run(c, func(t *stm.Txn) { body(&tl2CS{t: t, c: c}) })
+		r.lm.STM.Run(c, func(t *stm.Txn) { body((*tl2CS)(t)) })
 	}) != nil {
 		c.Compute(r.lm.M.Costs.PollGap)
 	}

@@ -207,15 +207,15 @@ func (e *Endpoint) SendBatch(c *sim.Context, bytes int, seq0 uint64, n int) {
 			if left := n - done; free > left {
 				free = left
 			}
-			tail := cs.Load(e.base + sbTail)
-			for i := 0; i < free; i++ {
-				cs.Store(e.slot(tail), uint64(bytes))
-				cs.Store(e.slot(tail)+8, seq0+uint64(done+i))
-				tail++
+			tail, total := cs.Load(e.base+sbTail), free*bytes
+			addrs, vals := cs.Ctx().StoreBuf(2*free + 2) // descriptors, tail, count
+			for i := 0; i < free; i, tail = i+1, tail+1 {
+				addrs[2*i], vals[2*i] = e.slot(tail), uint64(bytes)
+				addrs[2*i+1], vals[2*i+1] = e.slot(tail)+8, seq0+uint64(done+i)
 			}
-			total := free * bytes
-			cs.Store(e.base+sbTail, tail)
-			cs.Store(e.base+sbCount, cnt+uint64(free))
+			addrs[2*free], vals[2*free] = e.base+sbTail, tail
+			addrs[2*free+1], vals[2*free+1] = e.base+sbCount, cnt+uint64(free)
+			cs.StoreN(addrs, vals) // one run (the hot calls below keep their lines)
 			cs.Store(e.base+sbBytes, cs.Load(e.base+sbBytes)+uint64(total))
 			// One batched sbappend copy under the lock.
 			cs.Ctx().Compute(uint64(total >> perByteShift))
@@ -256,9 +256,9 @@ func (e *Endpoint) RecvBatch(c *sim.Context, max int) (n, totalBytes int, firstS
 			head++
 		}
 		n, ok = take, true
-		cs.Store(e.base+sbHead, head)
-		cs.Store(e.base+sbCount, cnt-uint64(take))
-		// One batched copy-out to the application buffer under the lock.
+		addrs, vals := cs.Ctx().StoreBuf(2) // head and count, one run
+		addrs[0], addrs[1], vals[0], vals[1] = e.base+sbHead, e.base+sbCount, head, cnt-uint64(take)
+		cs.StoreN(addrs, vals) // then one batched copy-out under the lock
 		cs.Ctx().Compute(uint64(totalBytes >> perByteShift))
 		if cs.Waiters(e.notFull) > 0 {
 			cs.Signal(e.notFull)

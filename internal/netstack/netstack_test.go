@@ -179,3 +179,63 @@ func TestPendingAndDrainChecks(t *testing.T) {
 		t.Fatal("CheckDrained should fail on a non-empty, unclosed ring")
 	}
 }
+
+// batchScenario streams 4×200 packets through four connections with
+// SendBatch and RecvBatch on all eight threads of the default machine, so
+// HyperThread siblings share cores and the rings fill and drain in
+// batches. It returns the region's Result and the packets received.
+func batchScenario(mode core.LockMode) (sim.Result, int) {
+	m := sim.New(sim.DefaultConfig())
+	st := New(m, mode)
+	conns := make([]*Conn, 4)
+	for i := range conns {
+		conns[i] = st.NewConn(8)
+	}
+	got := 0
+	res := m.Run(8, func(c *sim.Context) {
+		cn := conns[c.ID()%4]
+		if c.ID() >= 4 {
+			for {
+				n, _, _, ok := cn.C2S.RecvBatch(c, 5)
+				if !ok {
+					return
+				}
+				got += n
+				c.Compute(200)
+			}
+		}
+		for seq := uint64(0); seq < 200; seq += 10 {
+			cn.C2S.SendBatch(c, 256, seq, 10)
+		}
+		cn.C2S.Close(c)
+	})
+	return res, got
+}
+
+// TestBatchSwitches pins the simulated events and the carrier switches of
+// one SendBatch/RecvBatch scenario per stack. Events are the schedule and
+// must not move with a host-side change. Switches are host cost: before
+// ring updates, TL2 write-backs and lock releases ran as runs of stores
+// and charges taken in place (sim.Context.StoreN), the same scenario took
+// 866 (mutex), 8261 (tl2) and 5927 (tsx.cond) switches. The eliding stack
+// stores one by one inside its transactions and took no fallback here, so
+// its count is unchanged.
+func TestBatchSwitches(t *testing.T) {
+	for _, tc := range []struct {
+		mode             core.LockMode
+		events, switches uint64
+	}{
+		{core.ModeMutex, 15917, 765},
+		{core.ModeTL2, 17796, 5466},
+		{core.ModeTSXCond, 14812, 5927},
+	} {
+		res, got := batchScenario(tc.mode)
+		if got != 800 {
+			t.Errorf("%v: received %d of 800 packets", tc.mode, got)
+		}
+		if res.Events != tc.events || res.Switches != tc.switches {
+			t.Errorf("%v: %d events and %d switches, want %d and %d",
+				tc.mode, res.Events, res.Switches, tc.events, tc.switches)
+		}
+	}
+}

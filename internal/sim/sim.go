@@ -18,9 +18,10 @@
 // drives only region start, teardown and drain. A context that strictly
 // holds the minimum clock batches consecutive events without leaving its
 // carrier at all (see Context.maybeYield), and a queued context whose next
-// event is only a Compute quantum or a lock-spin probe step never gets the
-// core back for it: whoever hands the core over takes that step in place
-// (see Machine.settle and Context.SpinOn). A queued context's pending
+// event is only a Compute quantum, a lock-spin probe step or a step of a
+// run of stores or charges never gets the core back for it: whoever hands
+// the core over takes that step in place (see Machine.settle,
+// Context.SpinOn and Context.StoreN). A queued context's pending
 // Compute quanta are one such step: it waits in the run queue at the key
 // its last quantum ends on and charges them all there at once, unless a
 // change in its HyperThread sibling's state moves that key first (see
@@ -244,6 +245,10 @@ type Machine struct {
 	htNum     uint64
 	htDen     uint64
 	htQuantum uint64
+	// storeMax bounds what one plain store's access costs before
+	// HyperThread scaling: the largest cost Cache.access can return for a
+	// non-transactional write (refreshed per region in attach).
+	storeMax uint64
 	// spans records that this region charges a queued thread's pending
 	// Compute quanta as one span at its due key (Context.dueKey): true
 	// unless a TickHook draws per charge or a deadline is armed, which
@@ -263,6 +268,7 @@ type Machine struct {
 	poisoned bool
 	draining bool
 	events   uint64 // total timed events, for throughput diagnostics
+	switches uint64 // carrier resumes, for host-cost diagnostics
 
 	// probes is the observability state (counter set, virtual-time phase
 	// planes, trace ring), non-nil only when Config armed Metrics or
@@ -387,8 +393,9 @@ type Context struct {
 	sibling *Context
 	state   ctxState
 	// spinStage is the next stage of the SpinOn wait in progress (spinIdle
-	// when none), spinCAS its probe kind and spinDone its outcome; the rest
-	// of the wait's state is at the end, off the hot line.
+	// when none, spinRun during a run), spinCAS its probe kind and spinDone
+	// its outcome; the rest of the wait's and the run's state is at the
+	// end, off the hot line.
 	spinStage         uint8
 	spinCAS, spinDone bool
 	leaf              int32 // run-queue tree leaf while queued (stale otherwise)
@@ -435,6 +442,20 @@ type Context struct {
 	spinAddr Addr
 	spinGap  uint64
 	spinLeft int
+
+	// runLeft is the number of steps the run in progress still takes: a
+	// ComputeN run charges runCyc per step; a StoreN run
+	// stores runVals[i] at runAddrs[i], one step per store and one for the
+	// last store's effect. oneAddr and oneVal back ComputeStore's run, and
+	// bufAddr and bufVal are the buffers StoreBuf hands out.
+	runLeft  int
+	runCyc   uint64
+	runAddrs []Addr
+	runVals  []uint64
+	oneAddr  [1]Addr
+	oneVal   [1]uint64
+	bufAddr  []Addr
+	bufVal   []uint64
 }
 
 // SpinOn probe stages.
@@ -443,6 +464,7 @@ const (
 	spinAtomic // the Costs.Atomic pre-compute of a CAS probe
 	spinAccess // the timed access: cache state and its charge
 	spinEffect // the conflict hook and the memory effect
+	spinRun    // not a probe: a StoreN or ComputeN run (runStep)
 )
 
 // ID returns the simulated thread id (0-based, dense).
@@ -466,6 +488,12 @@ type Result struct {
 	PerThread []uint64
 	// Events is the total number of timed simulator events processed.
 	Events uint64
+	// Switches is the number of carrier switches: each time a simulated
+	// thread's coroutine carrier is resumed to run its own code, at region
+	// start and at every handoff (the teardown drain is not counted). Like
+	// Events it counts over the machine's lifetime. It is a host-cost
+	// figure: a step taken in place (Machine.settle) costs no switch.
+	Switches uint64
 }
 
 // Run executes body on n simulated threads and returns the simulated
@@ -490,6 +518,7 @@ func (m *Machine) Run(n int, body func(*Context)) Result {
 	// Hand the core to the earliest context. Control returns here only when
 	// a carrier switched back to this goroutine: the last body finished, or
 	// a fatal panic was recorded in m.fatal.
+	m.switches++
 	m.resumeCtx(m.popMin())
 	if p := m.fatal; p != nil {
 		// Unwind the surviving simulated threads one at a time before
@@ -504,7 +533,7 @@ func (m *Machine) Run(n int, body func(*Context)) Result {
 	}
 	m.drainCarriers()
 
-	res := Result{PerThread: make([]uint64, n), Events: m.events}
+	res := Result{PerThread: make([]uint64, n), Events: m.events, Switches: m.switches}
 	for i, c := range m.ctxs {
 		res.PerThread[i] = c.clock
 		if c.clock > res.Cycles {
@@ -529,6 +558,8 @@ func (m *Machine) attach(n int) {
 	m.htNum = uint64(m.Costs.HTFactorNum)
 	m.htDen = uint64(m.Costs.HTFactorDen)
 	m.htQuantum = computeQuantum * m.htNum / m.htDen
+	co := m.Costs
+	m.storeMax = max(co.L1Hit, co.Transfer, co.Miss, co.RemoteTransfer+co.DirHop, co.RemoteMiss)
 	m.nLive = n
 	for i := range blk {
 		c := &blk[i]
@@ -693,6 +724,7 @@ func (m *Machine) finish(c *Context) {
 	c.Progress()
 	m.nLive--
 	if m.settle(^uint64(0)) {
+		m.switches++
 		c.finishPark(m.popMin().parkedIn)
 		return
 	}
@@ -721,6 +753,7 @@ type poisonSignal struct{}
 // poisoned while parked, the resumption unwinds the body via poisonSignal.
 func (c *Context) parkOn(co *coro) {
 	c.parkedIn = co
+	c.m.switches++
 	coroswitch(co)
 	if c.m.poisoned {
 		panic(poisonSignal{})
@@ -934,9 +967,10 @@ func (m *Machine) sharer(x *Context, id int) *Context {
 }
 
 // step takes c's next pending unit of work and reports whether it did: a
-// Compute quantum, or the next stage of a SpinOn probe. Each unit ends in
-// exactly one charge. false means nothing is pending, or the spin wait just
-// ended with no charge, so c's own code must run next.
+// Compute quantum, the next stage of a SpinOn probe, or the next step of a
+// run (stage spinRun). Each unit ends in exactly one charge. false means
+// nothing is pending, or the spin wait or run just ended with no charge,
+// so c's own code must run next.
 func (c *Context) step() bool {
 	if c.computeLeft > 0 {
 		c.quantum()
@@ -945,7 +979,44 @@ func (c *Context) step() bool {
 	return c.spinStage != spinIdle && c.spinStep()
 }
 
-// spinStep takes the next stage of c's SpinOn probe.
+// runStep takes the next step of c's run: one charge of a ComputeN run, or
+// for a StoreN run the effect of the store whose access was charged last
+// (its conflict hook and memory write) together with the next store's
+// access. The step after the last access takes only that store's effect
+// and ends the run with no charge.
+func (c *Context) runStep() bool {
+	c.runLeft--
+	if c.runAddrs == nil {
+		if c.runLeft == 0 {
+			c.spinStage = spinIdle
+		}
+		c.charge(c.runCyc)
+		return true
+	}
+	m := c.m
+	if i := len(c.runAddrs) - c.runLeft - 1; i >= 0 {
+		a := c.runAddrs[i]
+		if h := m.ConflictHook; h != nil {
+			h(c, LineOf(a), true)
+		}
+		c.pendingLine = 0
+		m.Mem.write(a, c.runVals[i])
+	}
+	if c.runLeft == 0 {
+		c.spinStage = spinIdle
+		c.runAddrs, c.runVals = nil, nil
+		return false
+	}
+	line := LineOf(c.runAddrs[len(c.runAddrs)-c.runLeft])
+	if m.Cfg.Invariants {
+		c.pendingLine = line // see access
+	}
+	c.charge(c.cache.access(c, line, true, false))
+	return true
+}
+
+// spinStep takes the next stage of c's SpinOn probe, or the next step of
+// its run.
 func (c *Context) spinStep() bool {
 	switch c.spinStage {
 	case spinAtomic:
@@ -959,7 +1030,7 @@ func (c *Context) spinStep() bool {
 			c.pendingLine = line // see access
 		}
 		c.charge(c.cache.access(c, line, c.spinCAS, false))
-	default: // spinEffect
+	case spinEffect:
 		if h := c.m.ConflictHook; h != nil {
 			h(c, LineOf(c.spinAddr), c.spinCAS)
 		}
@@ -979,6 +1050,8 @@ func (c *Context) spinStep() bool {
 		}
 		c.computeLeft = c.spinGap
 		c.quantum()
+	case spinRun:
+		return c.runStep()
 	}
 	return true
 }
@@ -1128,6 +1201,144 @@ func (c *Context) SpinOn(a Addr, cas bool, gap uint64, tries int) bool {
 		c.maybeYield()
 	}
 	return c.spinDone
+}
+
+// StoreN performs Store(addrs[i], vals[i]) for each i in order, with the
+// same charges, scheduling points and effects. While the caller is queued
+// between two of the stores, whoever hands the core over takes the next
+// store in place (Machine.settle), so a run costs the caller one carrier
+// switch at most, not one per store. The slices must stay unchanged until
+// StoreN returns; buffers owned by the calling thread guarantee that.
+func (c *Context) StoreN(addrs []Addr, vals []uint64) {
+	for i, a := range addrs {
+		if !c.keepsCore(c.m.storeMax) {
+			c.runStores(addrs[i:], vals[i:len(addrs)])
+			return
+		}
+		c.Store(a, vals[i])
+	}
+}
+
+// ComputeStoreN is Compute(pre) followed by StoreN(addrs, vals), as one
+// run.
+func (c *Context) ComputeStoreN(pre uint64, addrs []Addr, vals []uint64) {
+	if c.keepsCore(pre) {
+		c.Compute(pre)
+		c.StoreN(addrs, vals)
+		return
+	}
+	c.lead(pre)
+	c.runStores(addrs, vals)
+}
+
+// ComputeStore is Compute(pre) followed by Store(a, v), as one run.
+func (c *Context) ComputeStore(pre uint64, a Addr, v uint64) {
+	if c.keepsCore(pre + c.m.storeMax) {
+		c.Compute(pre)
+		c.Store(a, v)
+		return
+	}
+	c.oneAddr[0], c.oneVal[0] = a, v
+	c.lead(pre)
+	c.runStores(c.oneAddr[:], c.oneVal[:])
+}
+
+// ComputeN is n calls of Compute(cyc). For cyc ≤ computeQuantum each call
+// is one charge and one scheduling point, and the calls run as one run:
+// while the caller is queued, its charges are taken in place. Longer
+// computations are a loop of Compute.
+func (c *Context) ComputeN(cyc uint64, n int) {
+	if cyc > computeQuantum {
+		for ; n > 0; n-- {
+			c.Compute(cyc)
+		}
+		return
+	}
+	for ; n > 0; n-- {
+		if !c.keepsCore(cyc) {
+			c.runCyc, c.runLeft = cyc, n
+			c.spinStage = spinRun
+			c.run()
+			return
+		}
+		c.charge(cyc)
+	}
+}
+
+// ComputeSpinOn is Compute(pre) followed by SpinOn(a, cas, gap, tries), as
+// one run: while the spinner is queued, the pre cycles are charged in
+// place like the wait's own steps.
+func (c *Context) ComputeSpinOn(pre uint64, a Addr, cas bool, gap uint64, tries int) bool {
+	c.lead(pre)
+	return c.SpinOn(a, cas, gap, tries)
+}
+
+// StoreBuf returns c's own address and value buffers, n entries each, for
+// building a StoreN run without allocating: they grow only past the
+// largest n asked for so far. No other thread writes them, so a run taken
+// in place reads what c wrote. Their contents last until the next
+// StoreBuf call.
+func (c *Context) StoreBuf(n int) ([]Addr, []uint64) {
+	if cap(c.bufAddr) < n {
+		c.bufAddr, c.bufVal = make([]Addr, n), make([]uint64, n)
+	}
+	return c.bufAddr[:n], c.bufVal[:n]
+}
+
+// keepsCore reports whether running context c keeps the minimum key
+// through charges of at most cyc cycles in all, before HyperThread
+// scaling. No other thread can then take an event first, so the charges
+// cannot park c, and a run needs no state for settle to take: it calls the
+// plain Store or charge, whose PGO-inlined paths cost fewer host calls.
+// A tick hook may add cycles to any charge, so under one nothing keeps the
+// core.
+func (c *Context) keepsCore(cyc uint64) bool {
+	m := c.m
+	if m.TickHook != nil || c.key > m.qtopKey {
+		return false
+	}
+	room := (m.qtopKey - c.key) >> keyIDBits
+	return cyc < room && cyc*m.htNum/m.htDen < room
+}
+
+// lead makes pre cycles of Compute pending ahead of the run or spin wait
+// that follows at once: its step loop charges them first, quantum by
+// quantum, as Compute(pre) would. Compute(0) still charges one event, so a
+// zero lead is taken as a plain Compute(0).
+func (c *Context) lead(pre uint64) {
+	if pre == 0 {
+		c.Compute(0)
+		return
+	}
+	c.computeLeft = pre
+}
+
+// runStores takes the stores addrs[i] = vals[i], after any lead, as a run
+// whose steps settle takes in place while c is queued.
+func (c *Context) runStores(addrs []Addr, vals []uint64) {
+	if len(addrs) > 0 {
+		c.runAddrs, c.runVals = addrs, vals[:len(addrs)]
+		c.runLeft = len(addrs) + 1
+		c.spinStage = spinRun
+	}
+	c.run()
+}
+
+// run takes c's run on its own carrier: a lead's quanta first, then the
+// run's steps, each followed by a scheduling point. Once c parks, every
+// step due while it waits is taken in place, so it resumes with none left.
+// The loop tests the yield fast path itself, since maybeYield is not
+// inlined here.
+func (c *Context) run() {
+	for c.computeLeft > 0 {
+		c.quantum()
+		c.maybeYield()
+	}
+	for c.spinStage == spinRun && c.runStep() {
+		if c.key > c.m.qtopKey {
+			c.maybeYield()
+		}
+	}
 }
 
 // Syscall models a system call: it aborts any in-flight hardware transaction

@@ -42,8 +42,7 @@ func (l *Mutex) Locked(c *sim.Context) bool { return c.Load(l.Addr) != 0 }
 // timed LOCK CMPXCHG of the word from 0 to 1.
 func (l *Mutex) TryLock(c *sim.Context) bool {
 	costs := c.Machine().Costs
-	c.Compute(costs.MutexLock - costs.Atomic)
-	if c.SpinOn(l.Addr, true, 0, 0) {
+	if c.ComputeSpinOn(costs.MutexLock-costs.Atomic, l.Addr, true, 0, 0) {
 		c.Progress()
 		return true
 	}
@@ -56,8 +55,8 @@ func (l *Mutex) TryLock(c *sim.Context) bool {
 func (l *Mutex) Lock(c *sim.Context) {
 	costs := c.Machine().Costs
 	prev := c.SetPhase(sim.PhaseSpin)
-	c.Compute(costs.MutexLock - costs.Atomic)
-	if c.SpinOn(l.Addr, true, costs.MutexSpin, costs.MutexSpinTries) {
+	// The fast-path cost and the acquisition attempts are one run.
+	if c.ComputeSpinOn(costs.MutexLock-costs.Atomic, l.Addr, true, costs.MutexSpin, costs.MutexSpinTries) {
 		c.Progress()
 		c.SetPhase(prev)
 		return
@@ -94,8 +93,8 @@ func (l *Mutex) Unlock(c *sim.Context) {
 		return
 	}
 	l.checkHeld(c)
-	c.Compute(costs.MutexUnlock)
-	c.Store(l.Addr, 0)
+	// The release cost and the word-clearing store are one run.
+	c.ComputeStore(costs.MutexUnlock, l.Addr, 0)
 	if len(l.waiters) > 0 {
 		// Lost-wakeup window: a spinner can exhaust its spin budget and
 		// enqueue itself between the waiter check above and the
@@ -165,8 +164,7 @@ func (l *SpinLock) Unlock(c *sim.Context) {
 		panic(&sim.InvariantError{Point: "mutex-unlock", Thread: c.ID(), Clock: c.Now(),
 			Detail: "unlock of unheld spinlock (lock word already clear)"})
 	}
-	c.Compute(c.Machine().Costs.MutexUnlock)
-	c.Store(l.Addr, 0)
+	c.ComputeStore(c.Machine().Costs.MutexUnlock, l.Addr, 0)
 }
 
 // Cond is a pthread-style condition variable implemented over futex

@@ -129,6 +129,7 @@ type Txn struct {
 	readSet  []int               // orec indices
 	writeSet sim.AddrMap[uint64] // word address -> buffered value (lazy versioning)
 	wOrder   []sim.Addr          // deterministic write-back order
+	wVals    []uint64            // commit-time scratch: wOrder's values, for the write-back run
 	locks    []int               // commit-time scratch: sorted unique write-set orecs
 	frees    []pendingFree
 }
@@ -178,6 +179,9 @@ func (t *Txn) abortRead() {
 	t.abort()
 }
 
+// Ctx returns the simulated thread running the transaction.
+func (t *Txn) Ctx() *sim.Context { return t.ctx }
+
 // Store buffers an instrumented transactional write (lazy versioning).
 func (t *Txn) Store(a sim.Addr, v uint64) {
 	t.ctx.Compute(t.s.m.Costs.TL2Write)
@@ -186,6 +190,21 @@ func (t *Txn) Store(a sim.Addr, v uint64) {
 	if isNew {
 		t.wOrder = append(t.wOrder, a)
 	}
+}
+
+// StoreN buffers Store(addrs[i], vals[i]) for each i in order. The writes
+// are private to the transaction until commit, so they all enter the write
+// set up front and their barriers are one ComputeN run. (Store keeps its
+// own copy of the write-set update: the PGO profile inlines Place there.)
+func (t *Txn) StoreN(addrs []sim.Addr, vals []uint64) {
+	for i, a := range addrs {
+		j, isNew := t.writeSet.Place(a)
+		t.writeSet.Vals[j] = vals[i]
+		if isNew {
+			t.wOrder = append(t.wOrder, a)
+		}
+	}
+	t.ctx.ComputeN(t.s.m.Costs.TL2Write, len(addrs))
 }
 
 func (t *Txn) abort() {
@@ -279,11 +298,12 @@ func (t *Txn) commit() {
 	if h := t.s.CommitHook; h != nil {
 		h(c)
 	}
-	// Write back and release.
-	c.Compute(costs.TL2Commit)
+	// Write back and release: the write-back is one run of stores.
+	t.wVals = t.wVals[:0]
 	for _, a := range t.wOrder {
-		c.Store(a, t.writeSet.Vals[t.writeSet.Find(a)])
+		t.wVals = append(t.wVals, t.writeSet.Vals[t.writeSet.Find(a)])
 	}
+	c.ComputeStoreN(costs.TL2Commit, t.wOrder, t.wVals)
 	for _, oi := range locks {
 		o := &t.s.orecs[oi]
 		o.version = wv

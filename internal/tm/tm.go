@@ -195,15 +195,13 @@ func (t htmTx) Store(a sim.Addr, v uint64) { t.t.Store(a, v) }
 func (t htmTx) Free(a sim.Addr, size int)  { t.t.Free(a, size) }
 func (t htmTx) Ctx() *sim.Context          { return t.t.Ctx() }
 
-type tl2Tx struct {
-	t *stm.Txn
-	c *sim.Context
-}
+// tl2Tx is one pointer, so boxing it in a Tx allocates nothing.
+type tl2Tx struct{ t *stm.Txn }
 
 func (t tl2Tx) Load(a sim.Addr) uint64     { return t.t.Load(a) }
 func (t tl2Tx) Store(a sim.Addr, v uint64) { t.t.Store(a, v) }
 func (t tl2Tx) Free(a sim.Addr, size int)  { t.t.Free(a, size) }
-func (t tl2Tx) Ctx() *sim.Context          { return t.c }
+func (t tl2Tx) Ctx() *sim.Context          { return t.t.Ctx() }
 
 // UnannotatedLoad reads a word the application does NOT annotate for the TM
 // runtime — e.g. labyrinth's private grid snapshot, which STAMP deliberately
@@ -250,7 +248,7 @@ func (s *System) Atomic(c *sim.Context, body func(Tx)) {
 		c.SetPhase(prev)
 	case TL2:
 		s.STM.Run(c, func(t *stm.Txn) {
-			s.enter(c, tl2Tx{t, c}, body)
+			s.enter(c, tl2Tx{t}, body)
 		})
 	case TSX:
 		s.el.elide(c, s.glock, Policy{maxRetries: s.MaxRetries}, func(tx Tx) { s.enter(c, tx, body) })
