@@ -245,10 +245,6 @@ type Machine struct {
 	htNum     uint64
 	htDen     uint64
 	htQuantum uint64
-	// storeMax bounds what one plain store's access costs before
-	// HyperThread scaling: the largest cost Cache.access can return for a
-	// non-transactional write (refreshed per region in attach).
-	storeMax uint64
 	// spans records that this region charges a queued thread's pending
 	// Compute quanta as one span at its due key (Context.dueKey): true
 	// unless a TickHook draws per charge or a deadline is armed, which
@@ -558,8 +554,6 @@ func (m *Machine) attach(n int) {
 	m.htNum = uint64(m.Costs.HTFactorNum)
 	m.htDen = uint64(m.Costs.HTFactorDen)
 	m.htQuantum = computeQuantum * m.htNum / m.htDen
-	co := m.Costs
-	m.storeMax = max(co.L1Hit, co.Transfer, co.Miss, co.RemoteTransfer+co.DirHop, co.RemoteMiss)
 	m.nLive = n
 	for i := range blk {
 		c := &blk[i]
@@ -1204,43 +1198,32 @@ func (c *Context) SpinOn(a Addr, cas bool, gap uint64, tries int) bool {
 }
 
 // StoreN performs Store(addrs[i], vals[i]) for each i in order, with the
-// same charges, scheduling points and effects. While the caller is queued
-// between two of the stores, whoever hands the core over takes the next
-// store in place (Machine.settle), so a run costs the caller one carrier
-// switch at most, not one per store. The slices must stay unchanged until
-// StoreN returns; buffers owned by the calling thread guarantee that.
+// same charges, scheduling points and effects, as one run. While the
+// caller is queued between two of the stores, whoever hands the core over
+// takes the next store in place (Machine.settle), so a run costs the
+// caller one carrier switch at most, not one per store. The slices must
+// stay unchanged until StoreN returns; buffers owned by the calling thread
+// guarantee that.
 func (c *Context) StoreN(addrs []Addr, vals []uint64) {
-	for i, a := range addrs {
-		if !c.keepsCore(c.m.storeMax) {
-			c.runStores(addrs[i:], vals[i:len(addrs)])
-			return
-		}
-		c.Store(a, vals[i])
+	if len(addrs) > 0 {
+		c.runAddrs, c.runVals = addrs, vals[:len(addrs)]
+		c.runLeft = len(addrs) + 1
+		c.spinStage = spinRun
 	}
+	c.run()
 }
 
 // ComputeStoreN is Compute(pre) followed by StoreN(addrs, vals), as one
 // run.
 func (c *Context) ComputeStoreN(pre uint64, addrs []Addr, vals []uint64) {
-	if c.keepsCore(pre) {
-		c.Compute(pre)
-		c.StoreN(addrs, vals)
-		return
-	}
 	c.lead(pre)
-	c.runStores(addrs, vals)
+	c.StoreN(addrs, vals)
 }
 
 // ComputeStore is Compute(pre) followed by Store(a, v), as one run.
 func (c *Context) ComputeStore(pre uint64, a Addr, v uint64) {
-	if c.keepsCore(pre + c.m.storeMax) {
-		c.Compute(pre)
-		c.Store(a, v)
-		return
-	}
 	c.oneAddr[0], c.oneVal[0] = a, v
-	c.lead(pre)
-	c.runStores(c.oneAddr[:], c.oneVal[:])
+	c.ComputeStoreN(pre, c.oneAddr[:], c.oneVal[:])
 }
 
 // ComputeN is n calls of Compute(cyc). For cyc ≤ computeQuantum each call
@@ -1254,14 +1237,10 @@ func (c *Context) ComputeN(cyc uint64, n int) {
 		}
 		return
 	}
-	for ; n > 0; n-- {
-		if !c.keepsCore(cyc) {
-			c.runCyc, c.runLeft = cyc, n
-			c.spinStage = spinRun
-			c.run()
-			return
-		}
-		c.charge(cyc)
+	if n > 0 {
+		c.runCyc, c.runLeft = cyc, n
+		c.spinStage = spinRun
+		c.run()
 	}
 }
 
@@ -1285,22 +1264,6 @@ func (c *Context) StoreBuf(n int) ([]Addr, []uint64) {
 	return c.bufAddr[:n], c.bufVal[:n]
 }
 
-// keepsCore reports whether running context c keeps the minimum key
-// through charges of at most cyc cycles in all, before HyperThread
-// scaling. No other thread can then take an event first, so the charges
-// cannot park c, and a run needs no state for settle to take: it calls the
-// plain Store or charge, whose PGO-inlined paths cost fewer host calls.
-// A tick hook may add cycles to any charge, so under one nothing keeps the
-// core.
-func (c *Context) keepsCore(cyc uint64) bool {
-	m := c.m
-	if m.TickHook != nil || c.key > m.qtopKey {
-		return false
-	}
-	room := (m.qtopKey - c.key) >> keyIDBits
-	return cyc < room && cyc*m.htNum/m.htDen < room
-}
-
 // lead makes pre cycles of Compute pending ahead of the run or spin wait
 // that follows at once: its step loop charges them first, quantum by
 // quantum, as Compute(pre) would. Compute(0) still charges one event, so a
@@ -1311,17 +1274,6 @@ func (c *Context) lead(pre uint64) {
 		return
 	}
 	c.computeLeft = pre
-}
-
-// runStores takes the stores addrs[i] = vals[i], after any lead, as a run
-// whose steps settle takes in place while c is queued.
-func (c *Context) runStores(addrs []Addr, vals []uint64) {
-	if len(addrs) > 0 {
-		c.runAddrs, c.runVals = addrs, vals[:len(addrs)]
-		c.runLeft = len(addrs) + 1
-		c.spinStage = spinRun
-	}
-	c.run()
 }
 
 // run takes c's run on its own carrier: a lead's quanta first, then the
