@@ -61,134 +61,6 @@ func TestGranOf(t *testing.T) {
 	}
 }
 
-// TestFigure4CoarseningRescuesAtomicsWorkloads pins Section 5.3: the
-// straightforward TSX port of ua and histogram is slower than the original
-// atomics, and transactional coarsening flips both above baseline.
-func TestFigure4CoarseningRescuesAtomicsWorkloads(t *testing.T) {
-	for _, name := range []string{"ua", "histogram"} {
-		base, err := Run(name, "baseline", 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		init, err := Run(name, "tsx.init", 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coarsen, err := Run(name, "tsx.coarsen", 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if init.Cycles <= base.Cycles {
-			t.Errorf("%s: tsx.init (%d) should be slower than baseline (%d)", name, init.Cycles, base.Cycles)
-		}
-		if coarsen.Cycles >= base.Cycles {
-			t.Errorf("%s: tsx.coarsen (%d) should beat baseline (%d)", name, coarsen.Cycles, base.Cycles)
-		}
-	}
-}
-
-// TestFigure4LocksetElisionWins pins Section 5.2.1: on the lockset
-// workloads, the straightforward TSX port already beats the baseline.
-func TestFigure4LocksetElisionWins(t *testing.T) {
-	for _, name := range []string{"physicsSolver", "nufft"} {
-		base, err := Run(name, "baseline", 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		init, err := Run(name, "tsx.init", 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if init.Cycles >= base.Cycles {
-			t.Errorf("%s: tsx.init (%d) should beat baseline (%d) at 8T", name, init.Cycles, base.Cycles)
-		}
-	}
-}
-
-// TestFigure5aPrivatizationDoesNotScale pins Section 5.4.2 for histogram:
-// privatization is competitive at one thread but loses to plain atomics at
-// eight, because the reduction grows with the thread count.
-func TestFigure5aPrivatizationDoesNotScale(t *testing.T) {
-	base1, err := Run("histogram", "baseline", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	priv1, err := Run("histogram", "privatize", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base8, err := Run("histogram", "baseline", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	priv8, err := Run("histogram", "privatize", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if float64(priv1.Cycles) > 1.3*float64(base1.Cycles) {
-		t.Errorf("privatize at 1T (%d) should be competitive with atomics (%d)", priv1.Cycles, base1.Cycles)
-	}
-	if float64(priv8.Cycles) < 1.5*float64(base8.Cycles) {
-		t.Errorf("privatize at 8T (%d) should clearly lose to atomics (%d)", priv8.Cycles, base8.Cycles)
-	}
-}
-
-// TestFigure5bBarrierImbalance pins Section 5.4.2 for physicsSolver: the
-// barrier version wins at one thread and loses at eight (load imbalance
-// from the hot object).
-func TestFigure5bBarrierImbalance(t *testing.T) {
-	base1, err := Run("physicsSolver", "baseline", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bar1, err := Run("physicsSolver", "barrier", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base8, err := Run("physicsSolver", "baseline", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bar8, err := Run("physicsSolver", "barrier", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bar1.Cycles >= base1.Cycles {
-		t.Errorf("barrier at 1T (%d) should beat mutex (%d)", bar1.Cycles, base1.Cycles)
-	}
-	if float64(bar8.Cycles) < 1.5*float64(base8.Cycles) {
-		t.Errorf("barrier at 8T (%d) should clearly lose to mutex (%d)", bar8.Cycles, base8.Cycles)
-	}
-}
-
-// TestFigure5GranularityInflection pins Section 5.4.3: coarser regions
-// amortize overhead at one thread, but the largest granularity is no longer
-// the best at eight threads (conflicts grow with footprint).
-func TestFigure5GranularityInflection(t *testing.T) {
-	small1, err := Run("physicsSolver", "tsx.gran1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	large1, err := Run("physicsSolver", "tsx.gran3", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if large1.Cycles >= small1.Cycles {
-		t.Errorf("at 1T coarser should win: gran3=%d gran1=%d", large1.Cycles, small1.Cycles)
-	}
-	mid8, err := Run("physicsSolver", "tsx.gran2", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	large8, err := Run("physicsSolver", "tsx.gran3", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if large8.Cycles <= mid8.Cycles {
-		t.Errorf("at 8T the largest granularity should no longer win: gran3=%d gran2=%d", large8.Cycles, mid8.Cycles)
-	}
-}
-
 func TestNamesMatchesTable2(t *testing.T) {
 	want := []string{"graphCluster", "ua", "physicsSolver", "nufft", "histogram", "canneal"}
 	got := Names()

@@ -144,13 +144,48 @@ const (
 	coarsenGeomean   = 1.41 // paper's tsx.coarsen / baseline mean at 8T
 	coarsenGeomeanTo = 0.1  // |geomean - coarsenGeomean|
 	bestRetryBudget  = 5    // Section 3: "5 gave the best overall performance"
-	smallCriticalMax = 0.5  // Small Critical / Small Atomic speedup, every scatter count
+	smallCriticalMax = 0.5  // Small Critical's speedup / Small Atomic's (every scatter count) and Small TM's (1 scatter)
 	tsxNearFGL8T     = 0.25 // |tsx@8T / fgl@8T - 1|
 	tsxAbortDrop     = 0.75 // tsx.abort / mutex on netferret: "drops drastically"
 	tsxCondNearMutex = 0.15 // |mean tsx.cond / mutex - 1|
 	busyWaitGain     = 1.31 // paper's mean tsx.busywait / mutex
 	busyWaitGainTo   = 0.1  // |mean gain - busyWaitGain|
+	busyWaitMin      = 0.99 // tsx.busywait / mutex, every workload
+	busyWaitSlack    = 0.02 // tsx.busywait may trail mutex.busywait by this much (both / mutex)
+	aprioriScaleMin  = 2.0  // apriori fgl@8T speedup over fgl@1T
+	aprioriIOMax     = 1.4  // apriori tsx@4T / fgl@4T
+	lossAt8TMin      = 1.5  // privatize and barrier / baseline at 8T
+	retryGainMax     = 1.1  // E9 budget 6's cycles / budget 1's
+	bayesAbort1TMin  = 30.0 // tsx@1T abort rate, percent
+	labyrinth1TMin   = 60.0 // tsx@1T abort rate, percent
+	labyrinthTL2Max  = 30.0 // tl2@4T abort rate, percent
 )
+
+// capacityAborts bounds Table 1's capacity rows, in percent: bayes and
+// labyrinth abort mostly at one thread (the read footprint overflows the
+// L1), while labyrinth's tl2 port skips the unannotated grid copy.
+var capacityAborts = []struct {
+	k      stampKey
+	lo, hi float64
+}{
+	{stampKey{"bayes", tm.TSX, 1}, bayesAbort1TMin, 100},
+	{stampKey{"labyrinth", tm.TSX, 1}, labyrinth1TMin, 100},
+	{stampKey{"labyrinth", tm.TL2, 4}, 0, labyrinthTL2Max},
+}
+
+// stmVsHTM4T are Figure 2's 4T winners: the STM where the annotation skips
+// the copy that overflows the L1 (labyrinth), the HTM where the footprint
+// fits.
+var stmVsHTM4T = []struct {
+	name      string
+	win, lose tm.Mode
+}{{"labyrinth", tm.TL2, tm.TSX}, {"ssca2", tm.TSX, tm.TL2}, {"vacation", tm.TSX, tm.TL2}}
+
+// htRiseMin floors a STAMP workload's 8T-over-4T rise in tsx abort points
+// where Table 1's rise is steep: vacation's regions mostly fit the L1 at 4T
+// and not once two HyperThreads share it. Every other workload only has to
+// rise.
+var htRiseMin = map[string]float64{"vacation": 20}
 
 // sglCollapses are the RMS-TM workloads on which the paper finds sgl far
 // behind fgl: fluidanimate (many small critical sections) and utilitymine
@@ -171,7 +206,7 @@ func (s *Suite) Claims() ([]ClaimResult, error) {
 		return float64(st[stampKey{name, mo, 1}].Cycles) / float64(st[stampKey{name, tm.SGL, 1}].Cycles)
 	}
 
-	var tl2Over, tsx1T, ssca2, ht []item
+	var tl2Over, tsx1T, ssca2, ht, capacity, fourT []item
 	for _, name := range stamp.Names() {
 		if name != "labyrinth" { // the STM-friendly exception: its tl2 port skips the grid copy
 			v := norm1T(name, tm.TL2)
@@ -180,7 +215,15 @@ func (s *Suite) Claims() ([]ClaimResult, error) {
 		v := norm1T(name, tm.TSX)
 		tsx1T = append(tsx1T, item{name, v, math.Abs(v-1) <= tsxNearSGL})
 		r4, r8 := st[stampKey{name, tm.TSX, 4}].AbortRate, st[stampKey{name, tm.TSX, 8}].AbortRate
-		ht = append(ht, item{name, r8 - r4, r8 > r4})
+		ht = append(ht, item{name, r8 - r4, r8 > r4 && r8-r4 >= htRiseMin[name]})
+	}
+	for _, c := range capacityAborts {
+		v := st[c.k].AbortRate
+		capacity = append(capacity, item{fmt.Sprintf("%s/%v/%dT", c.k.name, c.k.mode, c.k.threads), v, v >= c.lo && v <= c.hi})
+	}
+	for _, w := range stmVsHTM4T {
+		v := float64(st[stampKey{w.name, w.win, 4}].Cycles) / float64(st[stampKey{w.name, w.lose, 4}].Cycles)
+		fourT = append(fourT, item{w.name + "/" + w.win.String(), v, v < 1})
 	}
 	for _, th := range Threads {
 		v := st[stampKey{"ssca2", tm.TSX, th}].AbortRate
@@ -225,8 +268,10 @@ func (s *Suite) Claims() ([]ClaimResult, error) {
 	return append(append(kernelClaims,
 		judge("fig2/tl2-1T-overhead", fmt.Sprintf("tl2@1T is at least %g× sgl@1T, except labyrinth", tl2OverheadMin), tl2Over),
 		judge("fig2/tsx-1T-near-sgl", fmt.Sprintf("tsx@1T is within %g of sgl@1T", tsxNearSGL), tsx1T),
+		judge("fig2/tl2-vs-tsx-4T", "at 4T tl2 beats tsx on labyrinth and tsx beats tl2 on ssca2 and vacation (item: the winner's time / the loser's)", fourT),
 		judge("table1/ssca2-tsx-near-0", fmt.Sprintf("ssca2's tsx abort rate is at most %g%% at every thread count", ssca2AbortMax), ssca2),
-		judge("table1/tsx-8T-above-4T", "tsx aborts more at 8T (HyperThreads share the L1) than at 4T, every workload (item: 8T-4T points)", ht),
+		judge("table1/tsx-8T-above-4T", fmt.Sprintf("tsx aborts more at 8T (HyperThreads share the L1) than at 4T, every workload, vacation by at least %g points (item: 8T-4T points)", htRiseMin["vacation"]), ht),
+		judge("table1/capacity-aborts", fmt.Sprintf("tsx aborts at least %g%% on bayes and %g%% on labyrinth at 1T, and labyrinth's tl2 at most %g%% at 4T (item: abort rate, %%)", bayesAbort1TMin, labyrinth1TMin, labyrinthTL2Max), capacity),
 		judge("a6/global-lock-retrogrades", "the global lock delivers less bandwidth at 64 cores than at 16", []item{{"64C/16C", gl64, gl64 < 1}}),
 		judge("a6/tsx-tracks-fine-grained", fmt.Sprintf("tsx is within %g%% of fine-grained in every A6 cell", 100*tsxTracksFG), tracks),
 		judge("a6/client-plateau", fmt.Sprintf("bandwidth moves under %g%% from 10⁴ to 10⁵ clients, every module", 100*clientPlateauMax), plateau),
@@ -254,7 +299,7 @@ func (s *Suite) kernelClaims() ([]ClaimResult, error) {
 	vsAtomic := func(sch clomp.Scheme, sc int) float64 {
 		return float64(clompRes[clompKey{sc, clomp.SmallAtomic, 4}].Cycles) / float64(clompRes[clompKey{sc, sch, 4}].Cycles)
 	}
-	var atomicFastest, largeTMCrosses, criticalSlow []item
+	var atomicFastest, largeTMCrosses, criticalSlow, largeCriticalSlow []item
 	for _, sch := range clomp.Schemes[1:] {
 		v := vsAtomic(sch, 1)
 		atomicFastest = append(atomicFastest, item{sch.String(), v, v < 1})
@@ -268,7 +313,11 @@ func (s *Suite) kernelClaims() ([]ClaimResult, error) {
 		}
 		v := vsAtomic(clomp.SmallCritical, sc)
 		criticalSlow = append(criticalSlow, item{at, v, v <= smallCriticalMax})
+		v = float64(clompRes[clompKey{sc, clomp.Serial, 1}].Cycles) / float64(clompRes[clompKey{sc, clomp.LargeCritical, 4}].Cycles)
+		largeCriticalSlow = append(largeCriticalSlow, item{at, v, v < 1})
 	}
+	smallTMGap := vsAtomic(clomp.SmallCritical, 1) / vsAtomic(clomp.SmallTM, 1)
+	criticalSlow = append(criticalSlow, item{"over Small TM's, 1 scatter", smallTMGap, smallTMGap < smallCriticalMax})
 
 	var sglCollapse, tsxNearFGL []item
 	for _, name := range rmstm.Names() {
@@ -278,8 +327,11 @@ func (s *Suite) kernelClaims() ([]ClaimResult, error) {
 		v = float64(cyc(rmstm.FGL, 8)) / float64(cyc(rmstm.TSXScheme, 8))
 		tsxNearFGL = append(tsxNearFGL, item{name, v, math.Abs(v-1) <= tsxNearFGL8T})
 	}
+	aprioriScale := harness.Speedup(rms[rmsKey{"apriori", rmstm.FGL, 1}].Cycles, rms[rmsKey{"apriori", rmstm.FGL, 8}].Cycles)
+	aprioriTSX := rms[rmsKey{"apriori", rmstm.TSXScheme, 4}]
+	aprioriIO := float64(aprioriTSX.Cycles) / float64(rms[rmsKey{"apriori", rmstm.FGL, 4}].Cycles)
 
-	var abortDrop []item
+	var abortDrop, busyEvery []item
 	var cond, busy []float64
 	for _, name := range netapps.Names() {
 		v := vsMutex(net, name, core.ModeTSXAbort)
@@ -289,21 +341,32 @@ func (s *Suite) kernelClaims() ([]ClaimResult, error) {
 		}
 		abortDrop = append(abortDrop, item{name, v, ok})
 		cond = append(cond, vsMutex(net, name, core.ModeTSXCond))
-		busy = append(busy, vsMutex(net, name, core.ModeTSXBusyWait))
+		tbw, mbw := vsMutex(net, name, core.ModeTSXBusyWait), vsMutex(net, name, core.ModeMutexBusyWait)
+		busy = append(busy, tbw)
+		busyEvery = append(busyEvery, item{name, tbw, tbw >= busyWaitMin}, item{name + " over mutex.busywait", tbw - mbw, tbw >= mbw-busyWaitSlack})
 	}
 	condMean, busyMean := harness.Mean(cond), harness.Mean(busy)
+	ferretCond, ferretAbort := vsMutex(net, "netferret", core.ModeTSXCond), vsMutex(net, "netferret", core.ModeTSXAbort)
 
 	return []ClaimResult{
 		judge("fig1/small-atomic-fastest", "Small Atomic is the fastest scheme at 1 scatter (item: a scheme's speedup over Small Atomic's)", atomicFastest),
 		judge("fig1/large-tm-crosses-3-4", "Large TM is slower than Small Atomic at 1-2 scatters and faster from 4 (item: Large TM's speedup over Small Atomic's)", largeTMCrosses),
-		judge("fig1/small-critical-far-worse", fmt.Sprintf("Small Critical's speedup is at most %g× Small Atomic's at every scatter count", smallCriticalMax), criticalSlow),
+		judge("fig1/small-critical-far-worse", fmt.Sprintf("Small Critical's speedup is at most %g× Small Atomic's at every scatter count, and under %g× Small TM's at 1 scatter", smallCriticalMax, smallCriticalMax), criticalSlow),
+		judge("fig1/large-critical-below-serial", "Large Critical is slower than serial at every scatter count (item: its speedup over serial)", largeCriticalSlow),
 		judge("fig3/sgl-collapses-exactly", "sgl@8T is slower than fgl@1T on fluidanimate and utilitymine and on no other workload (item: sgl@8T speedup vs fgl@1T)", sglCollapse),
 		judge("fig3/tsx-near-fgl-8T", fmt.Sprintf("tsx@8T is within %g%% of fgl@8T, every workload (item: tsx@8T speedup / fgl@8T's)", 100*tsxNearFGL8T), tsxNearFGL),
+		judge("fig3/apriori-fgl-scales", fmt.Sprintf("apriori's fgl@8T is at least %g× faster than fgl@1T", aprioriScaleMin),
+			[]item{{"fgl@8T speedup", aprioriScale, aprioriScale >= aprioriScaleMin}}),
+		judge("fig3/apriori-syscalls-cheap", fmt.Sprintf("apriori's tsx@4T regions abort on syscalls (I/O inside critical sections) yet take at most %g× fgl@4T's time", aprioriIOMax),
+			[]item{{"syscall aborts", float64(aprioriTSX.Syscalls), aprioriTSX.Syscalls > 0}, {"tsx@4T / fgl@4T", aprioriIO, aprioriIO <= aprioriIOMax}}),
 		judge("fig6/tsx-abort-drops-on-ferret-only", fmt.Sprintf("tsx.abort is at most %g× mutex on netferret and not below mutex elsewhere (item: bandwidth / mutex's)", tsxAbortDrop), abortDrop),
 		judge("fig6/tsx-cond-near-mutex", fmt.Sprintf("mean tsx.cond bandwidth is within %g of mutex's", tsxCondNearMutex),
 			[]item{{"mean", condMean, math.Abs(condMean-1) <= tsxCondNearMutex}}),
 		judge("fig6/busywait-gain", fmt.Sprintf("mean tsx.busywait bandwidth over mutex's is within %g of %g×", busyWaitGainTo, busyWaitGain),
 			[]item{{"mean", busyMean, math.Abs(busyMean-busyWaitGain) <= busyWaitGainTo}}),
+		judge("fig6/tsx-cond-rescues-ferret", "on netferret tsx.cond is not below mutex and beats tsx.abort (item: bandwidth / mutex's, then tsx.cond's / tsx.abort's)",
+			[]item{{"tsx.cond", ferretCond, ferretCond >= 1}, {"tsx.cond / tsx.abort", ferretCond / ferretAbort, ferretCond > ferretAbort}}),
+		judge("fig6/busywait-every-app", fmt.Sprintf("tsx.busywait is at least %g× mutex and at most %g below mutex.busywait on every workload (item: bandwidth / mutex's, then its margin over mutex.busywait's)", busyWaitMin, busyWaitSlack), busyEvery),
 	}, nil
 }
 
@@ -338,7 +401,7 @@ func (s *Suite) figureClaims() ([]ClaimResult, error) {
 		return float64(cells[appKey{name, variant, th}].Cycles) / float64(cells[appKey{name, "baseline", th}].Cycles)
 	}
 
-	var initLoses, coarsenFlips, lowT, highT []item
+	var initLoses, coarsenFlips, initWins, lowT, highT []item
 	for _, name := range []string{"ua", "histogram"} {
 		for _, th := range Threads {
 			at := fmt.Sprintf("%s/%dT", name, th)
@@ -347,6 +410,10 @@ func (s *Suite) figureClaims() ([]ClaimResult, error) {
 			v = vsBase(fig4, name, "tsx.coarsen", th)
 			coarsenFlips = append(coarsenFlips, item{at, v, v < 1})
 		}
+	}
+	for _, name := range []string{"physicsSolver", "nufft"} {
+		v := vsBase(fig4, name, "tsx.init", 8)
+		initWins = append(initWins, item{name + "/8T", v, v < 1})
 	}
 	g := coarsenGeomean8T(fig4)
 	for _, cf := range []struct {
@@ -358,17 +425,25 @@ func (s *Suite) figureClaims() ([]ClaimResult, error) {
 			lowT = append(lowT, item{fmt.Sprintf("%s/%dT", cf.variant, th), v, v < 1})
 		}
 		v := vsBase(cf.cells, cf.name, cf.variant, 8)
-		highT = append(highT, item{cf.variant + "/8T", v, v > 1})
+		highT = append(highT, item{cf.variant + "/8T", v, v >= lossAt8TMin})
 	}
+	gran1T := vsBase(fig5b, "physicsSolver", "tsx.gran3", 1) / vsBase(fig5b, "physicsSolver", "tsx.gran1", 1)
+	gran8T := vsBase(fig5b, "physicsSolver", "tsx.gran3", 8) / vsBase(fig5b, "physicsSolver", "tsx.gran2", 8)
+	retryGain := float64(retry[6].Cycles) / float64(retry[1].Cycles)
 
 	return []ClaimResult{
 		judge("fig4/tsx-init-loses", "tsx.init is slower than baseline on ua and histogram at every thread count (item: time / baseline's)", initLoses),
 		judge("fig4/coarsen-flips", "tsx.coarsen is faster than baseline on ua and histogram at every thread count (item: time / baseline's)", coarsenFlips),
 		judge("fig4/coarsen-8T-geomean", fmt.Sprintf("tsx.coarsen's speedup over baseline at 8T, geomean over the workloads, is within %g of %g×", coarsenGeomeanTo, coarsenGeomean),
 			[]item{{"geomean", g, math.Abs(g-coarsenGeomean) <= coarsenGeomeanTo}}),
+		judge("fig4/lockset-init-wins-8T", "tsx.init is faster than baseline at 8T on the lockset workloads physicsSolver and nufft (item: time / baseline's)", initWins),
 		judge("fig5/conflict-free-wins-1-2T", "privatize (histogram) and barrier (physicsSolver) beat their baseline at 1T and 2T (item: time / baseline's)", lowT),
-		judge("fig5/conflict-free-loses-8T", "privatize and barrier lose to their baseline at 8T (item: time / baseline's)", highT),
+		judge("fig5/conflict-free-loses-8T", fmt.Sprintf("privatize and barrier take at least %g× their baseline's time at 8T (item: time / baseline's)", lossAt8TMin), highT),
+		judge("fig5/granularity-inflection", "physicsSolver's tsx.gran3 is faster than tsx.gran1 at 1T and slower than tsx.gran2 at 8T (item: gran3's time / the other's)",
+			[]item{{"gran3/gran1@1T", gran1T, gran1T < 1}, {"gran3/gran2@8T", gran8T, gran8T > 1}}),
 		judge("e9/best-budget-5", fmt.Sprintf("the retry budget with the fewest cycles is %d", bestRetryBudget),
 			[]item{{"argmin", float64(best), best == bestRetryBudget}}),
+		judge("e9/retries-pay", fmt.Sprintf("6 retries take at most %g× the cycles of 1 retry", retryGainMax),
+			[]item{{"6/1", retryGain, retryGain <= retryGainMax}}),
 	}, nil
 }

@@ -12,22 +12,27 @@ import (
 
 // TestJudgeOutcomes: a claim holds when every item does, deviates when a
 // missing item sits inside its documented band, and fails when a missing
-// item has no band or leaves it.
+// item has no band or leaves it; each outcome prints as its own word.
 func TestJudgeOutcomes(t *testing.T) {
 	id := "fig2/tsx-1T-near-sgl"
 	band := deviations[id]["bayes"]
 	cases := []struct {
 		items []item
 		want  Outcome
+		word  string
 	}{
-		{[]item{{"genome", 0.97, true}, {"bayes", 1, true}}, Holds},
-		{[]item{{"genome", 0.97, true}, {"bayes", band.lo, false}}, Deviates},
-		{[]item{{"bayes", band.hi + 0.01, false}}, Fails},
-		{[]item{{"genome", 1.2, false}, {"bayes", band.lo, false}}, Fails},
+		{[]item{{"genome", 0.97, true}, {"bayes", 1, true}}, Holds, "holds"},
+		{[]item{{"genome", 0.97, true}, {"bayes", band.lo, false}}, Deviates, "deviates"},
+		{[]item{{"bayes", band.hi + 0.01, false}}, Fails, "FAILS"},
+		{[]item{{"genome", 1.2, false}, {"bayes", band.lo, false}}, Fails, "FAILS"},
 	}
 	for i, c := range cases {
-		if got := judge(id, "", c.items); got.Outcome != c.want {
+		got := judge(id, "", c.items)
+		if got.Outcome != c.want {
 			t.Errorf("case %d: outcome %v, want %v (%s)", i, got.Outcome, c.want, got.Detail)
+		}
+		if w := got.Outcome.String(); w != c.word {
+			t.Errorf("case %d: outcome prints %q, want %q", i, w, c.word)
 		}
 	}
 }

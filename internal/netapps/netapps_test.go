@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tsxhpc/internal/core"
-	"tsxhpc/internal/harness"
 )
 
 // TestAllAppsAllModesValidate is the correctness gate: every workload
@@ -40,72 +39,6 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a.Cycles != b.Cycles || a.ReadCycles != b.ReadCycles {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
-	}
-}
-
-// bw returns the bandwidth of app under mode, normalized to mutex.
-func bw(t *testing.T, name string, mode core.LockMode) float64 {
-	t.Helper()
-	ref, err := Run(name, core.ModeMutex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Run(name, mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r.Bandwidth() / ref.Bandwidth()
-}
-
-// TestFigure6AbortOnCondVarHurtsFerret pins Section 6.2: unconditionally
-// aborting on condition-variable operations drops performance on netferret
-// (many small packets), while the bulk-transfer workloads barely notice.
-func TestFigure6AbortOnCondVarHurtsFerret(t *testing.T) {
-	ferret := bw(t, "netferret", core.ModeTSXAbort)
-	if ferret >= 0.97 {
-		t.Errorf("netferret tsx.abort = %.2fx mutex, expected a drop", ferret)
-	}
-	for _, name := range []string{"netstreamcluster", "netdedup"} {
-		if v := bw(t, name, core.ModeTSXAbort); v < 0.9 {
-			t.Errorf("%s tsx.abort = %.2fx mutex, expected near parity", name, v)
-		}
-	}
-}
-
-// TestFigure6TransactionAwareCondVar pins the tsx.cond result: better than
-// tsx.abort on netferret, with some benefit over mutex, and near mutex on
-// the others (overall average similar to mutex).
-func TestFigure6TransactionAwareCondVar(t *testing.T) {
-	ferretCond := bw(t, "netferret", core.ModeTSXCond)
-	ferretAbort := bw(t, "netferret", core.ModeTSXAbort)
-	if ferretCond <= ferretAbort {
-		t.Errorf("netferret: tsx.cond (%.2f) should beat tsx.abort (%.2f)", ferretCond, ferretAbort)
-	}
-	if ferretCond < 1.0 {
-		t.Errorf("netferret: tsx.cond (%.2f) should provide some benefit over mutex", ferretCond)
-	}
-}
-
-// TestFigure6BusyWaiting pins the headline result: busy waiting removes the
-// futex sleep/wake delay from the critical path; the TSX-elided stack with
-// busy waiting improves every workload and beats the mutex busy-wait
-// variant, averaging ~1.3x over mutex (paper: 1.31x).
-func TestFigure6BusyWaiting(t *testing.T) {
-	var gains []float64
-	for _, name := range Names() {
-		mbw := bw(t, name, core.ModeMutexBusyWait)
-		tbw := bw(t, name, core.ModeTSXBusyWait)
-		if tbw < 0.99 {
-			t.Errorf("%s: tsx.busywait = %.2fx mutex, expected improvement", name, tbw)
-		}
-		if tbw < mbw-0.02 {
-			t.Errorf("%s: tsx.busywait (%.2f) should be at least mutex.busywait (%.2f)", name, tbw, mbw)
-		}
-		gains = append(gains, tbw)
-	}
-	avg := harness.Mean(gains)
-	if avg < 1.15 || avg > 1.55 {
-		t.Errorf("tsx.busywait average gain %.2fx, want in the neighborhood of the paper's 1.31x", avg)
 	}
 }
 

@@ -34,61 +34,6 @@ func TestUnknownWorkload(t *testing.T) {
 	}
 }
 
-// TestFigure3Shapes pins the published qualitative results: sgl collapses
-// on fluidanimate and utilitymine but not on apriori; tsx stays comparable
-// to fine-grained locking everywhere.
-func TestFigure3Shapes(t *testing.T) {
-	speedup := func(name string, s Scheme, threads int) float64 {
-		ref, err := Execute(name, FGL, 1, DefaultLocks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := Execute(name, s, threads, DefaultLocks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return float64(ref.Cycles) / float64(r.Cycles)
-	}
-	for _, name := range []string{"fluidanimate", "utilitymine"} {
-		if s := speedup(name, SGLScheme, 8); s > 1.0 {
-			t.Errorf("%s: sgl 8T speedup %.2f, expected collapse (< 1)", name, s)
-		}
-		fgl := speedup(name, FGL, 8)
-		tsx := speedup(name, TSXScheme, 8)
-		if tsx < 0.5*fgl {
-			t.Errorf("%s: tsx 8T speedup %.2f far below fgl %.2f", name, tsx, fgl)
-		}
-	}
-	// apriori: sgl must NOT collapse (paper: no significant difference
-	// except the two workloads above).
-	if s := speedup("apriori", SGLScheme, 8); s < 0.8 {
-		t.Errorf("apriori: sgl 8T speedup %.2f, expected no collapse", s)
-	}
-	if s := speedup("apriori", FGL, 8); s < 2 {
-		t.Errorf("apriori: fgl 8T speedup %.2f, expected scaling", s)
-	}
-}
-
-// TestSyscallsInsideTransactionsAreCheapEnough pins Section 4.3's finding:
-// file I/O inside a critical section aborts transactional execution, but as
-// long as the lock is then acquired promptly it does not wreck performance.
-func TestSyscallsInsideTransactionsAreCheapEnough(t *testing.T) {
-	r, err := Execute("apriori", TSXScheme, 4, DefaultLocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Syscalls == 0 {
-		t.Fatal("expected syscall-caused aborts (I/O inside critical sections)")
-	}
-	ref, err := Execute("apriori", FGL, 4, DefaultLocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if float64(r.Cycles) > 1.4*float64(ref.Cycles) {
-		t.Errorf("tsx with in-transaction I/O is %.2fx fgl, want comparable", float64(r.Cycles)/float64(ref.Cycles))
-	}
-}
-
 func TestSchemeStrings(t *testing.T) {
 	if FGL.String() != "fgl" || SGLScheme.String() != "sgl" || TSXScheme.String() != "tsx" {
 		t.Fatal("scheme names wrong")

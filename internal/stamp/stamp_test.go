@@ -62,119 +62,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestFigure2SingleThreadOverheads pins the paper's headline single-thread
-// contrast: tsx executes at near-sgl speed while tl2 pays instrumentation.
-func TestFigure2SingleThreadOverheads(t *testing.T) {
-	for _, name := range []string{"genome", "vacation", "ssca2"} {
-		sgl, err := Execute(name, tm.SGL, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tsx, err := Execute(name, tm.TSX, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tl2, err := Execute(name, tm.TL2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r := float64(tsx.Cycles) / float64(sgl.Cycles); r > 1.25 {
-			t.Errorf("%s: tsx 1T %.2fx sgl, want near parity", name, r)
-		}
-		if r := float64(tl2.Cycles) / float64(sgl.Cycles); r < 1.5 {
-			t.Errorf("%s: tl2 1T only %.2fx sgl, instrumentation overhead missing", name, r)
-		}
-	}
-}
-
-// TestTable1Shapes pins the characteristic abort-rate entries of Table 1.
-func TestTable1Shapes(t *testing.T) {
-	// ssca2: tiny transactions, ~0% aborts at every thread count.
-	r, err := Execute("ssca2", tm.TSX, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.AbortRate > 10 {
-		t.Errorf("ssca2 tsx 8T abort rate %.0f%%, want ~0", r.AbortRate)
-	}
-	// labyrinth: the unannotated grid snapshot blows the L1 read set; very
-	// high aborts even at one thread.
-	r, err = Execute("labyrinth", tm.TSX, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.AbortRate < 60 {
-		t.Errorf("labyrinth tsx 1T abort rate %.0f%%, want high (capacity)", r.AbortRate)
-	}
-	// labyrinth under TL2 skips the unannotated copy: low aborts.
-	r, err = Execute("labyrinth", tm.TL2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.AbortRate > 30 {
-		t.Errorf("labyrinth tl2 4T abort rate %.0f%%, want low", r.AbortRate)
-	}
-	// bayes: large ADtree read footprint, high aborts at one thread.
-	r, err = Execute("bayes", tm.TSX, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.AbortRate < 30 {
-		t.Errorf("bayes tsx 1T abort rate %.0f%%, want substantial (capacity)", r.AbortRate)
-	}
-}
-
-// TestHyperThreadingCompoundsCapacity pins the Table 1 observation that 8
-// threads (2 per core, shared L1) abort much more than 4.
-func TestHyperThreadingCompoundsCapacity(t *testing.T) {
-	r4, err := Execute("vacation", tm.TSX, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r8, err := Execute("vacation", tm.TSX, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r8.AbortRate < r4.AbortRate+20 {
-		t.Errorf("vacation abort rate 4T=%.0f%% 8T=%.0f%%: HyperThreading should compound capacity pressure", r4.AbortRate, r8.AbortRate)
-	}
-}
-
-// TestLabyrinthAnnotationAsymmetry pins Figure 2's labyrinth story: the STM
-// exploits the unannotated snapshot and scales; hardware TM cannot and
-// stays near (or above) sgl.
-func TestLabyrinthAnnotationAsymmetry(t *testing.T) {
-	tl2, err := Execute("labyrinth", tm.TL2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsx, err := Execute("labyrinth", tm.TSX, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl2.Cycles >= tsx.Cycles {
-		t.Errorf("labyrinth 4T: tl2 (%d) should beat tsx (%d)", tl2.Cycles, tsx.Cycles)
-	}
-}
-
-// TestTSXBeatsSTMWhereCapacityAllows pins the inverse: workloads with
-// reasonable footprints favor the hardware TM (Section 4.2's conclusion).
-func TestTSXBeatsSTMWhereCapacityAllows(t *testing.T) {
-	for _, name := range []string{"ssca2", "vacation"} {
-		tl2, err := Execute(name, tm.TL2, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tsx, err := Execute(name, tm.TSX, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tsx.Cycles >= tl2.Cycles {
-			t.Errorf("%s 4T: tsx (%d) should beat tl2 (%d)", name, tsx.Cycles, tl2.Cycles)
-		}
-	}
-}
-
 func TestNamesSortedAndComplete(t *testing.T) {
 	ns := Names()
 	if len(ns) != 8 {

@@ -359,3 +359,39 @@ func TestAbortingLoadChargesBarrier(t *testing.T) {
 		t.Fatalf("%d events, want %d", res.Events, want)
 	}
 }
+
+// TestStoreNMatchesStores: buffering a run of writes with StoreN leaves the
+// same write set as one Store per word, in the same order, so commit
+// publishes the same values (the last write to a repeated address wins) at
+// the same virtual time.
+func TestStoreNMatchesStores(t *testing.T) {
+	run := func(batch bool) (uint64, [3]uint64) {
+		m, s := mach()
+		a := m.Mem.AllocLine(16)
+		addrs := []sim.Addr{a, a + 8, a}
+		vals := []uint64{1, 2, 3}
+		res := m.Run(1, func(c *sim.Context) {
+			s.Run(c, func(tx *Txn) {
+				if tx.Ctx() != c {
+					t.Error("Ctx is not the running thread")
+				}
+				if batch {
+					tx.StoreN(addrs, vals)
+					return
+				}
+				for i, ad := range addrs {
+					tx.Store(ad, vals[i])
+				}
+			})
+		})
+		return res.Cycles, [3]uint64{m.Mem.ReadRaw(a), m.Mem.ReadRaw(a + 8), s.Stats.Commits}
+	}
+	cyc, got := run(true)
+	wantCyc, want := run(false)
+	if got != want || got != [3]uint64{3, 2, 1} {
+		t.Fatalf("StoreN memory/commits = %v, Store loop %v, want [3 2 1]", got, want)
+	}
+	if cyc != wantCyc {
+		t.Fatalf("StoreN takes %d cycles, the Store loop %d", cyc, wantCyc)
+	}
+}

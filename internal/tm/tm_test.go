@@ -300,3 +300,36 @@ func TestPropertyModesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnannotatedLoadAsymmetry pins the Section 4.2 mechanism behind
+// labyrinth: an unannotated read skips TL2's read barrier, while under TSX it
+// is a tracked transactional load like any other. Both read the committed
+// value, and outside a region it is a plain load.
+func TestUnannotatedLoadAsymmetry(t *testing.T) {
+	const words = 64
+	run := func(mode Mode, load func(Tx, sim.Addr) uint64) uint64 {
+		m, s := sys(mode)
+		a := m.Mem.AllocLine(words * 8)
+		for i := 0; i < words; i++ {
+			m.Mem.WriteRaw(a+sim.Addr(8*i), uint64(i))
+		}
+		return m.Run(1, func(c *sim.Context) {
+			s.Atomic(c, func(tx Tx) {
+				for i := 0; i < words; i++ {
+					if v := load(tx, a+sim.Addr(8*i)); v != uint64(i) {
+						t.Errorf("%v: word %d reads %d", mode, i, v)
+					}
+				}
+			})
+			if v := UnannotatedLoad(PlainTx(c), a+8); v != 1 {
+				t.Errorf("%v: plain unannotated load reads %d", mode, v)
+			}
+		}).Cycles
+	}
+	if u, l := run(TL2, UnannotatedLoad), run(TL2, Tx.Load); u >= l {
+		t.Errorf("tl2: unannotated reads take %d cycles, annotated %d: the read barrier was not skipped", u, l)
+	}
+	if u, l := run(TSX, UnannotatedLoad), run(TSX, Tx.Load); u != l {
+		t.Errorf("tsx: unannotated reads take %d cycles, annotated %d: want the same tracked load", u, l)
+	}
+}
